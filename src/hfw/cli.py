@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .compat import (
     baer_krull_table,
-    compatibility_report,
+    compatibility_reports,
     convexity_check,
     incomparability_witnesses,
     lift_ordering,
@@ -240,13 +240,9 @@ def cmd_check(loaded: Loaded, args) -> tuple[dict, bool]:
     return findings, not (not violations and sym_ok and zero_ok)
 
 
-def _finite_table_json(F: FiniteHyperstructure) -> dict:
-    return F.to_json()
-
-
 def cmd_factor(loaded: Loaded, args) -> tuple[dict, bool]:
     if loaded.finite is not None:
-        return {"table": _finite_table_json(loaded.finite)}, False
+        return {"table": loaded.finite.to_json()}, False
     if loaded.sym is not None:
         H = loaded.sym
         B = min(args.window, 2)
@@ -367,31 +363,22 @@ def cmd_valuations(loaded: Loaded, args) -> tuple[dict, bool]:
 
 
 def cmd_compat(loaded: Loaded, args) -> tuple[dict, bool]:
-    cells = []
     if loaded.finite is not None:
         F = loaded.finite
-        orderings = enumerate_orderings(F)
-        rings = enumerate_valuation_hyperrings(F)
-        for O in rings:
-            v = valuation_from_hyperring(F, O)
-            for P in orderings:
-                rep = compatibility_report(F, v, P)
-                cells.append(rep.to_json())
+        reports = [rep for O in enumerate_valuation_hyperrings(F)
+                   for rep in compatibility_reports(F, valuation_from_hyperring(F, O)).values()]
     elif loaded.sym is not None:
         H = loaded.sym
-        v = canonical_valuation(H)
         window = min(args.window, 4 if H.k > 1 else 6)
-        for P in sym_orderings(H, window):
-            rep = compatibility_report(H, v, P, window)
-            cells.append(rep.to_json())
+        by_cone = compatibility_reports(H, canonical_valuation(H), window)
+        reports = list(by_cone.values())
     else:
         raise DomainError("compatibility runs on a finite or signed-value structure")
+    cells = [rep.to_json() for rep in reports]
     findings: dict = {"cells": cells, "all_compatible": all(c["compatible"] for c in cells)}
     if loaded.subgroup is not None and loaded.subgroup.kind == "punits":
-        H = loaded.sym
-        v = canonical_valuation(H)
-        (P,) = sym_orderings(H)
-        conv = convexity_check(H, P, sym_ring_of(H, v))
+        (P,) = by_cone
+        conv = convexity_check(H, P, sym_ring_of(H, canonical_valuation(H)))
         findings["ring_convexity"] = conv.to_json()
         findings["incomparable_pairs"] = [
             w.to_json() for w in incomparability_witnesses(5, p=loaded.subgroup.p)

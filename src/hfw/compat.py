@@ -3,12 +3,26 @@ convexity, natural valuations, lifting of residue orderings, and the
 correspondence between compatible orderings and (residue ordering, character)
 pairs.
 
-Every operation accepts either a finite structure (with a tabulated valuation
-and a frozenset cone) or a symbolic signed-value structure (with a lex
-projection and a character cone).  Finite paths quantify exhaustively.
-Symbolic paths run a window sweep plus a structural case analysis over the
-addition-row shapes; the two must agree, and any disagreement raises
-InternalCheckError, which the command layer maps to its own exit code.
+Finite tables and symbolic signed-value structures share one path.  The four
+conditions with their witnesses, the convexity sweep and the lift are each
+written once, against a small protocol that _Tables and _Symbolic supply:
+
+* the elements of a window (for a finite table, every element), nearest the
+  unit first, so that the first counterexample a sweep meets is a small one;
+* the structure's ``add``, ``neg`` and ``mul``;
+* a cone's ``contains``, ``contains_set`` and ``meets_set``;
+* the valuation's values, through its ring, its ideal and ``value_keys``.
+
+A finite sweep covers the whole carrier and is exact.  A symbolic sweep
+covers a value window, so the symbolic side keeps an independent second
+route: row-shape case analyses (_sym_cond_iii_cases, _sym_cond_iv_cases, and
+sym_ordering_case_analysis inside sym_is_ordering) decide the same verdicts
+without a sweep, and any disagreement raises InternalCheckError, which the
+command layer maps to its own exit code.
+
+Inputs are validated once, where a public function receives them.  A frame
+holds one structure with one validated valuation; it enumerates the cones
+and builds each cone's report at most once.
 """
 
 from __future__ import annotations
@@ -16,6 +30,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 
@@ -25,27 +40,23 @@ from .realalg import (
     enumerate_orderings,
     is_archimedean,
     is_ordering,
-    is_preordering,
-    maximal_preordering_extensions,
     natural_valuation_ideal,
     natural_valuation_ring,
 )
 from .sgntrop import (
-    ALL,
     STElem,
     SignedValueHyperfield,
     SymOrdering,
     SymValuation,
     canonical_valuation,
-    gzero,
-    sym_contains,
+    gunit_last,
+    sym_ideal_of,
     sym_is_ordering,
     sym_is_valuation,
     sym_natural_ring,
     sym_orderings,
     sym_residue,
     sym_ring_of,
-    sym_subset,
 )
 from .valtheory import (
     LexGroup,
@@ -53,72 +64,260 @@ from .valtheory import (
     residue_hyperfield,
     ring_from_valuation,
     sym_valuation_from_ring,
+    units_and_maximal_ideal,
     valuation_from_hyperring,
 )
 
 
-def _is_sym(F) -> bool:
-    return isinstance(F, SignedValueHyperfield)
+# ---------------------------------------------------------------------------
+# the structure protocol
 
 
-def _sym_sign(P: SymOrdering, a: STElem) -> int:
-    return 1 if P.contains(a) else -1
+class _TableCone(frozenset):
+    """A finite cone, a frozenset of indices, in the cone protocol."""
+
+    def contains(self, a) -> bool:
+        return a in self
+
+    def contains_set(self, S) -> bool:
+        return S <= self
+
+    def meets_set(self, S) -> bool:
+        return not self.isdisjoint(S)
 
 
-def _validate(F, v, P, window: int = 6) -> None:
-    if _is_sym(F):
-        if not sym_is_valuation(F, v).ok:
-            raise DomainError("invalid valuation on %s" % F.name)
-        if not sym_is_ordering(F, P, window):
-            raise DomainError("invalid cone on %s" % F.name)
-    else:
-        rep = is_valuation(F, v)
+class _Frame:
+    """One structure seen through the protocol, with one valuation (or none,
+    for the sweeps that need no valuation), checked by whoever built it.
+
+    Subclasses supply ``elements``, the valuation's check, ring and ideal,
+    its residue, and the cone and label primitives below.  The ring, ideal
+    and residue are built when a sweep first needs them.
+    """
+
+    def __init__(self, F, v, window: int):
+        self.F, self.v, self.window = F, v, window
+        self.zero = F.zero
+        self.elements = self._elements()
+        self._is_cone: dict = {}
+        self._cones = None
+        self._reports: dict = {}
+
+    @cached_property
+    def ring(self) -> tuple:
+        """The valuation ring O of v and its ideal M."""
+        return self._ring()
+
+    @cached_property
+    def residue(self):
+        """The residue of v, or None when the ideal is zero, so that the
+        residue is the structure itself."""
+        return self._residue()
+
+    def is_cone(self, P) -> bool:
+        if P not in self._is_cone:
+            self._is_cone[P] = self._cone_ok(P)
+        return self._is_cone[P]
+
+    def check_cone(self, P):
+        """Validate a cone passed in by a caller; return it in the protocol."""
+        P = self.cone(P)
+        if not self.is_cone(P):
+            raise DomainError("invalid cone %s on %s" % (self.cone_label(P), self.F.name))
+        return P
+
+    def cones(self) -> list:
+        """Every cone of the structure, enumerated once per frame."""
+        if self._cones is None:
+            self._cones = self._all_cones()
+            self._is_cone.update((P, True) for P in self._cones)
+        return self._cones
+
+    def report(self, P) -> CompatReport:
+        """The report of an already validated cone, built once per frame."""
+        if P not in self._reports:
+            self._reports[P] = _report(self, P)
+        return self._reports[P]
+
+    @cached_property
+    def value_keys(self) -> dict:
+        """Per element, a key ordered as the values are, with the infinite
+        value of zero above every other."""
+        return {x: (1,) if x == self.zero else (0, self._value_key(x)) for x in self.elements}
+
+    def is_unit(self, a) -> bool:
+        O, M = self.ring
+        return a in O and a not in M
+
+    def induced(self, P) -> frozenset:
+        """The residue classes of the units in the cone."""
+        C = self.cone(P)
+        return frozenset(self.residue.class_of(a) for a in self.elements
+                         if C.contains(a) and self.is_unit(a))
+
+
+class _Tables(_Frame):
+    """A finite table: its window is the whole carrier and a cone is a
+    frozenset of indices."""
+
+    def _elements(self):
+        return list(self.F.elements())
+
+    def check_valuation(self):
+        rep = is_valuation(self.F, self.v)
         if not rep.ok:
             raise DomainError("invalid valuation: %s" % rep.summary())
-        rep = is_ordering(F, P)
-        if not rep.ok:
-            raise DomainError("invalid cone: %s" % rep.summary())
+
+    def _value_key(self, x) -> int:
+        # the value's rank among the values taken; the group only compares
+        le, values = self.v.group.le, self.v.values
+        return sum(le(values[y], values[x]) for y in self.F.nonzero())
+
+    def _ring(self):
+        return ring_from_valuation(self.F, self.v)
+
+    def _residue(self):
+        return residue_hyperfield(self.F, self.ring[0])
+
+    def _cone_ok(self, P) -> bool:
+        return is_ordering(self.F, P).ok
+
+    def _all_cones(self) -> list:
+        return enumerate_orderings(self.F)
+
+    def cone(self, P):
+        return _TableCone(P)
+
+    def natural_ring(self, P):
+        return natural_valuation_ring(self.F, P)
+
+    def natural_valuation(self, P):
+        A = natural_valuation_ring(self.F, P)
+        if units_and_maximal_ideal(self.F, A)[1] != natural_valuation_ideal(self.F, P):
+            raise InternalCheckError("natural ideal differs from the maximal ideal of the natural ring")
+        return valuation_from_hyperring(self.F, A)
+
+    def cases(self, P) -> dict:
+        return {}  # a sweep over the whole carrier is exact
+
+    def valuation_label(self) -> str:
+        return self.v.group.describe()
+
+    def cone_label(self, P) -> str:
+        return self.F.label_set(P)
+
+    def ring_label(self, O) -> str:
+        return self.F.label_set(O)
+
+
+class _Symbolic(_Frame):
+    """A signed-value structure: its window holds the values boxed in
+    [-window, window] and its cones are character cones."""
+
+    def _elements(self):
+        # a stable sort keeps the window order inside each shell
+        return sorted(self.F.window_elements(self.window, include_zero=True),
+                      key=lambda e: -1 if e.is_zero() else max(map(abs, e.gamma)))
+
+    def check_valuation(self):
+        if not sym_is_valuation(self.F, self.v).ok:
+            raise DomainError("invalid valuation on %s" % self.F.name)
+
+    def _value_key(self, x):
+        return self.v.value(x)  # lex-ordered tuples
+
+    def _ring(self):
+        return sym_ring_of(self.F, self.v), sym_ideal_of(self.F, self.v)
+
+    def _residue(self):
+        return sym_residue(self.F) if self.v.prefix else None
+
+    def _cone_ok(self, P) -> bool:
+        return sym_is_ordering(self.F, P, self.window)
+
+    def _all_cones(self) -> list:
+        return sym_orderings(self.F, self.window)
+
+    def cone(self, P):
+        return P
+
+    def natural_ring(self, P):
+        return sym_natural_ring(self.F, P)
+
+    def natural_valuation(self, P):
+        return sym_valuation_from_ring(self.F, sym_natural_ring(self.F, P))
+
+    def cases(self, P) -> dict:
+        return {"cond_iii": _sym_cond_iii_cases(self.F, self.v, P),
+                "cond_iv": _sym_cond_iv_cases(self.F, self.v, P)}
+
+    def valuation_label(self) -> str:
+        return self.v.label()
+
+    def cone_label(self, P) -> str:
+        return P.label()
+
+    def ring_label(self, O) -> str:
+        return "O_v"
+
+
+def _frame(F, v=None, window: int = 6) -> _Frame:
+    """The frame of F; a valuation passed in is validated here."""
+    s = (_Symbolic if isinstance(F, SignedValueHyperfield) else _Tables)(F, v, window)
+    if v is not None:
+        s.check_valuation()
+    return s
 
 
 # ---------------------------------------------------------------------------
-# the four conditions
+# the four conditions, each with its witness
 
 
-def cond_i(F, v, P) -> bool:
+def _cond_i(s: _Frame, P):
     """The natural valuation ring of the cone sits inside the ring of v."""
-    if _is_sym(F):
-        return sym_subset(sym_natural_ring(F, P), sym_ring_of(F, v))
-    O, _ = ring_from_valuation(F, v)
-    return natural_valuation_ring(F, P) <= O
+    N, (O, _) = s.natural_ring(P), s.ring
+    for x in s.elements:
+        if x in N and x not in O:
+            return False, "element %s lies in the natural ring but not in the valuation ring" % s.F.label(x)
+    return True, None
 
 
-def _finite_residue_cone(F, v, P):
-    O, _ = ring_from_valuation(F, v)
-    res = residue_hyperfield(F, O)
-    cone = frozenset(res.class_of(a) for a in P if a in res.units)
-    return res, cone
-
-
-def _sym_residue_cone(H, P):
-    # every character cone meets the value-zero units exactly in (+, 0),
-    # so the induced residue cone is its class
-    res = sym_residue(H)
-    plus_one = STElem(1, gzero(H.k))
-    if not P.contains(plus_one):
-        raise InternalCheckError("cone misses the unit element")
-    return res, frozenset({res.class_of(plus_one)})
-
-
-def cond_ii(F, v, P) -> bool:
+def _cond_ii(s: _Frame, P):
     """The classes of cone members that are units form a cone downstairs."""
-    if _is_sym(F):
-        if v.prefix == 0:
-            # the ideal is zero and the residue is the structure itself
-            return sym_is_ordering(F, P)
-        res, cone = _sym_residue_cone(F, P)
-        return is_ordering(res.structure, cone).ok
-    res, cone = _finite_residue_cone(F, v, P)
-    return is_ordering(res.structure, cone).ok
+    if s.residue is None:
+        return True, None  # the residue is the structure, and P was validated on it
+    rep = is_ordering(s.residue.structure, s.induced(P))
+    return rep.ok, None if rep.ok else "induced residue set fails: %s" % rep.summary()
+
+
+def _cond_iii(s: _Frame, P):
+    """1 + m stays in the cone for every m in the ideal of v."""
+    F, (_, M) = s.F, s.ring
+    for m in s.elements:
+        if m not in M:
+            continue
+        S = F.add(F.one, m)
+        if not P.contains_set(S):
+            out = [F.label(x) for x in s.elements if x in S and not P.contains(x)]
+            return False, "1 + %s contains %s, which is outside the cone" % (
+                F.label(m), out[0] if out else "a member beyond the window")
+    return True, None
+
+
+def _cond_iv(s: _Frame, P):
+    """Membership of b+a and b-a in the cone bounds v(b) by v(a)."""
+    F, key = s.F, s.value_keys
+    for a in s.elements:
+        na = F.neg(a)
+        for b in s.elements:
+            if key[a] < key[b] and P.meets_set(F.add(b, a)) and P.meets_set(F.add(b, na)):
+                return False, "a=%s, b=%s meet the cone both ways yet v(a) < v(b)" % (F.label(a), F.label(b))
+    return True, None
+
+
+_CONDITIONS = (("cond_i", _cond_i), ("cond_ii", _cond_ii), ("cond_iii", _cond_iii), ("cond_iv", _cond_iv))
+# what the symbolic case analysis of a condition decides
+_DECIDES = {"cond_iii": "the unit neighborhood", "cond_iv": "the value bound"}
 
 
 def _sym_cond_iii_cases(H: SignedValueHyperfield, v: SymValuation, P: SymOrdering):
@@ -129,45 +328,9 @@ def _sym_cond_iii_cases(H: SignedValueHyperfield, v: SymValuation, P: SymOrderin
     opposite signs and distinct values keep both signs at the minimum, so
     the sum 1 + (-, delta) contains (-1, 0), which no character cone holds.
     """
-    if v.prefix == 0:
+    if v.prefix == 0 or H.kind == "tropical":
         return True, None
-    if H.kind == "tropical":
-        return True, None
-    delta = (0,) * (H.k - 1) + (1,)
-    witness = STElem(-1, delta)
-    return False, witness
-
-
-def cond_iii(F, v, P, window: int = 6) -> bool:
-    """1 + m stays in the cone for every m in the ideal of v."""
-    if _is_sym(F):
-        expected, _ = _sym_cond_iii_cases(F, v, P)
-        one = F.one
-        swept = True
-        zg = (0,) * v.prefix
-        for m in F.window_elements(window, include_zero=True):
-            if not m.is_zero() and not v.value(m) > zg:
-                continue
-            if not P.contains_set(F.add(one, m)):
-                swept = False
-                break
-        if swept != expected:
-            raise InternalCheckError("window sweep and case analysis disagree on the unit neighborhood")
-        return expected
-    _, M = ring_from_valuation(F, v)
-    for m in M:
-        if not F.add(F.one, m) <= P:
-            return False
-    return True
-
-
-def _value_ge(G, va, vb) -> bool:
-    # None is the infinite value
-    if va is None:
-        return True
-    if vb is None:
-        return False
-    return G.le(vb, va)
+    return False, STElem(-1, gunit_last(H.k))
 
 
 def _sym_cond_iv_cases(H: SignedValueHyperfield, v: SymValuation, P: SymOrdering):
@@ -178,51 +341,9 @@ def _sym_cond_iv_cases(H: SignedValueHyperfield, v: SymValuation, P: SymOrdering
     {a} alongside the two-sign pair at v(a), whose cone member satisfies the
     antecedent while the values still violate the conclusion.
     """
-    if v.prefix == 0:
+    if v.prefix == 0 or H.kind == "tropical":
         return True, None
-    if H.kind == "tropical":
-        return True, None
-    unit = (0,) * (H.k - 1) + (1,)
-    a = STElem(1 if P.contains(STElem(1, gzero(H.k))) else -1, gzero(H.k))
-    b = STElem(a.sign, unit)
-    return False, (a, b)
-
-
-def cond_iv(F, v, P, window: int = 6) -> bool:
-    """Membership of b+a and b-a in the cone bounds v(b) by v(a)."""
-    if _is_sym(F):
-        expected, _ = _sym_cond_iv_cases(F, v, P)
-        swept = True
-        elems = F.window_elements(window, include_zero=True)
-        for a in elems:
-            for b in elems:
-                if a.is_zero() and b.is_zero():
-                    continue
-                if not P.meets_set(F.add(b, a)):
-                    continue
-                na = a.neg() if not a.is_zero() else a
-                if not P.meets_set(F.add(b, na)):
-                    continue
-                va = None if a.is_zero() else v.value(a)
-                vb = None if b.is_zero() else v.value(b)
-                if va is not None and (vb is None or not va >= vb):
-                    swept = False
-                    break
-            if not swept:
-                break
-        if swept != expected:
-            raise InternalCheckError("window sweep and case analysis disagree on the value bound")
-        return expected
-    G = v.group
-    for a in F.elements():
-        for b in F.elements():
-            if not (F.add(b, a) & P):
-                continue
-            if not (F.sub(b, a) & P):
-                continue
-            if not _value_ge(G, v.values[a], v.values[b]):
-                return False
-    return True
+    return False, (H.one, STElem(1, gunit_last(H.k)))  # every cone holds 1
 
 
 @dataclass
@@ -259,83 +380,44 @@ class CompatReport:
         }
 
 
-def _labels(F, v, P):
-    if _is_sym(F):
-        return F.name, v.label(), P.label()
-    return F.name, v.group.describe(), F.label_set(P)
-
-
-def compatibility_report(F, v, P, window: int = 6) -> CompatReport:
-    """Evaluate all four conditions independently and assert their agreement.
+def _report(s: _Frame, P) -> CompatReport:
+    """Evaluate all four conditions independently and assert their agreement,
+    and the sweeps' agreement with the case analyses where there are any.
 
     A disagreement would falsify the four-way equivalence this module is
     built around and raises InternalCheckError.
     """
-    _validate(F, v, P, window)
-    witnesses: dict = {}
-    c1 = cond_i(F, v, P)
-    if not c1:
-        witnesses["cond_i"] = _cond_i_witness(F, v, P)
-    c2 = cond_ii(F, v, P)
-    if not c2:
-        witnesses["cond_ii"] = _cond_ii_witness(F, v, P)
-    c3 = cond_iii(F, v, P, window) if _is_sym(F) else cond_iii(F, v, P)
-    if not c3:
-        witnesses["cond_iii"] = _cond_iii_witness(F, v, P)
-    c4 = cond_iv(F, v, P, window) if _is_sym(F) else cond_iv(F, v, P)
-    if not c4:
-        witnesses["cond_iv"] = _cond_iv_witness(F, v, P)
-    name, vlabel, plabel = _labels(F, v, P)
-    rep = CompatReport(name, vlabel, plabel, c1, c2, c3, c4, witnesses)
+    C = s.cone(P)
+    cases = s.cases(C)
+    verdicts, witnesses = {}, {}
+    for name, cond in _CONDITIONS:
+        ok, witness = cond(s, C)
+        if name in cases and cases[name][0] != ok:
+            raise InternalCheckError(
+                "window sweep and case analysis disagree on %s: sweep %s (witness %s), cases %s (witness %s)"
+                % (_DECIDES[name], ok, witness, cases[name][0], cases[name][1]))
+        verdicts[name] = ok
+        if not ok:
+            witnesses[name] = witness
+    labels = (s.F.name, s.valuation_label(), s.cone_label(P))
+    rep = CompatReport(*labels, witnesses=witnesses, **verdicts)
     if not rep.all_equal():
-        raise InternalCheckError(
-            "four-way equivalence broke on %s / %s / %s: %s %s %s %s"
-            % (name, vlabel, plabel, c1, c2, c3, c4))
+        raise InternalCheckError("four-way equivalence broke on %s / %s / %s: %s"
+                                 % (labels + (verdicts,)))
     return rep
 
 
-def _cond_i_witness(F, v, P):
-    if _is_sym(F):
-        # the natural ring is everything, the valuation ring is not: any
-        # negative-value element separates them
-        unit = (0,) * (F.k - 1) + (-1,)
-        return "element %s lies in the natural ring but not in the valuation ring" % STElem(1, unit)
-    O, _ = ring_from_valuation(F, v)
-    extra = sorted(natural_valuation_ring(F, P) - O)
-    return "natural ring members %s escape the valuation ring" % F.label_set(extra)
+def compatibility_report(F, v, P, window: int = 6) -> CompatReport:
+    """The four conditions for one valuation and one cone, both validated."""
+    s = _frame(F, v, window)
+    return s.report(s.check_cone(P))
 
 
-def _cond_ii_witness(F, v, P):
-    if _is_sym(F):
-        res, cone = _sym_residue_cone(F, P)
-    else:
-        res, cone = _finite_residue_cone(F, v, P)
-    return "induced residue set fails: %s" % is_ordering(res.structure, cone).summary()
-
-
-def _cond_iii_witness(F, v, P):
-    if _is_sym(F):
-        _, w = _sym_cond_iii_cases(F, v, P)
-        return "1 + %s contains %s, which is outside the cone" % (w, STElem(-1, gzero(F.k)))
-    _, M = ring_from_valuation(F, v)
-    for m in M:
-        cell = F.add(F.one, m)
-        if not cell <= P:
-            return "1 + %s = %s leaves the cone" % (F.label(m), F.label_set(cell))
-    return "no witness"
-
-
-def _cond_iv_witness(F, v, P):
-    if _is_sym(F):
-        _, pair = _sym_cond_iv_cases(F, v, P)
-        a, b = pair
-        return "a=%s, b=%s meet the cone both ways yet v(a) < v(b)" % (a, b)
-    G = v.group
-    for a in F.elements():
-        for b in F.elements():
-            if (F.add(b, a) & P) and (F.sub(b, a) & P) and not _value_ge(G, v.values[a], v.values[b]):
-                return "a=%s, b=%s meet the cone both ways yet v(a) < v(b)" % (F.label(a), F.label(b))
-    return "no witness"
+def compatibility_reports(F, v, window: int = 6) -> dict:
+    """Every cone of F, in enumeration order, mapped to its report against v;
+    the valuation is validated and the cones are enumerated once."""
+    s = _frame(F, v, window)
+    return {P: s.report(P) for P in s.cones()}
 
 
 def compatible(F, v, P, window: int = 6) -> bool:
@@ -346,40 +428,36 @@ def compatible(F, v, P, window: int = 6) -> bool:
 # natural valuation and the archimedean residue
 
 
+def _natural_frame(F, P):
+    """The frame of the valuation carried by the natural ring of a cone.
+    Building that valuation from the ring checks it already."""
+    s = _frame(F)
+    P = s.check_cone(P)
+    return type(s)(F, s.natural_valuation(P), s.window), P
+
+
 def natural_valuation(F, P):
     """The valuation carried by the natural valuation ring of the cone.
 
     Compatible with the cone by construction; that postcondition is asserted
     through the full battery before returning.
     """
-    if _is_sym(F):
-        v = sym_valuation_from_ring(F, sym_natural_ring(F, P))
-    else:
-        A = natural_valuation_ring(F, P)
-        v = valuation_from_hyperring(F, A)
-    rep = compatibility_report(F, v, P)
-    if not rep.compatible:
+    s, P = _natural_frame(F, P)
+    s.check_valuation()
+    if not s.report(P).compatible:
         raise InternalCheckError("natural valuation is not compatible with its own cone")
-    return v
+    return s.v
 
 
 def residue_ordering_archimedean_check(F, P) -> bool:
     """Push the cone into the residue of its natural valuation ring and test
     archimedeanity there."""
-    if _is_sym(F):
-        ring = sym_natural_ring(F, P)
-        if ring is ALL:
-            # the ideal is zero: the residue is the structure itself and the
-            # cone is archimedean exactly because its natural ring is everything
-            return True
-        res, cone = _sym_residue_cone(F, P)
-        return is_archimedean(res.structure, cone)
-    A = natural_valuation_ring(F, P)
-    res = residue_hyperfield(F, A)
-    if res.ideal != natural_valuation_ideal(F, P):
-        raise InternalCheckError("natural ideal differs from the maximal ideal of the natural ring")
-    cone = frozenset(res.class_of(a) for a in P if a in res.units)
-    return is_archimedean(res.structure, cone)
+    s, P = _natural_frame(F, P)
+    if s.residue is None:
+        # the ideal is zero: the residue is the structure itself and the
+        # cone is archimedean exactly because its natural ring is everything
+        return True
+    return is_archimedean(s.residue.structure, s.induced(P))
 
 
 # ---------------------------------------------------------------------------
@@ -407,34 +485,17 @@ class ConvexityReport:
 def convexity_check(F, P, O, window: int = 6) -> ConvexityReport:
     """No outside element sits strictly between two ring members, where
     a < b means the full difference b - a lies inside the cone."""
+    s = _frame(F, None, window)
+    C = s.cone(P)
+    inside = [e for e in s.elements if e in O]
+    outside = [e for e in s.elements if e not in O]
     violations = []
-    if _is_sym(F):
-        ring_label = "O_v"
-        inside = [e for e in F.window_elements(window) if sym_contains(O, e)]
-        outside = [e for e in F.window_elements(window) if not sym_contains(O, e)]
-        for x in outside:
-            nx = x.neg()
-            for a in inside:
-                if not P.contains_set(F.add(x, a.neg())):
-                    continue
-                for b in inside:
-                    if P.contains_set(F.add(b, nx)):
-                        violations.append((a, x, b))
-        name, plabel = F.name, P.label()
-    else:
-        ring_label = F.label_set(O)
-        O = frozenset(O)
-        inside = sorted(O)
-        outside = [x for x in F.elements() if x not in O]
-        for x in outside:
-            for a in inside:
-                if not F.sub(x, a) <= P:
-                    continue
-                for b in inside:
-                    if F.sub(b, x) <= P:
-                        violations.append((a, x, b))
-        name, plabel = F.name, F.label_set(P)
-    return ConvexityReport(name, ring_label, plabel, not violations, tuple(violations))
+    for x in outside:
+        nx = F.neg(x)
+        for a in inside:
+            if C.contains_set(F.add(x, F.neg(a))):
+                violations += [(a, x, b) for b in inside if C.contains_set(F.add(b, nx))]
+    return ConvexityReport(F.name, s.ring_label(O), s.cone_label(P), not violations, tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -456,26 +517,25 @@ class IncomparabilityWitness:
         }
 
 
-def _difference_member(p: int, vx: int, vy: int, height: int):
-    """Positive difference u - w with u in the class (+, vx), w in (+, vy)."""
+def _difference_member(p: int, vx: int, vy: int):
+    """Positive difference u - w with u in the class (+, vx), w in (+, vy).
+
+    Closed form: p^vx - p^vy when vx > vy, and otherwise
+    p^vx * (p^g + 1) - p^vy = p^vx with g = vy - vx.  The classes of u, w
+    and u - w are recomputed as the certificate.
+    """
     T = QSubgroup("punits", p)
-    for t in range(1, height + 1):
-        if t % p == 0:
-            continue
-        for s in range(1, height + 1):
-            if s % p == 0:
-                continue
-            u = Fraction(t * p**vx)
-            w = Fraction(s * p**vy)
-            if u > w:
-                d = u - w
-                cls = q_factor_class(d, T)
-                if cls.sign() > 0:
-                    return (u, w, d, cls.label())
-    raise InternalCheckError("no difference witness at height %d" % height)
+    u = Fraction(p**vx if vx > vy else p**vx * (p ** (vy - vx) + 1))
+    w = Fraction(p**vy)
+    d = u - w
+    cls = q_factor_class(d, T)
+    if (q_factor_class(u, T).label(), q_factor_class(w, T).label()) != ("(+,%d)" % vx, "(+,%d)" % vy) \
+            or cls.sign() <= 0:
+        raise InternalCheckError("difference certificate fails for (+,%d) - (+,%d)" % (vx, vy))
+    return (u, w, d, cls.label())
 
 
-def incomparability_witnesses(count: int = 5, height: int = 20, p: int = 2) -> list[IncomparabilityWitness]:
+def incomparability_witnesses(count: int = 5, p: int = 2) -> list[IncomparabilityWitness]:
     """Distinct positive classes of the signed p-unit factor that the cone
     order leaves incomparable.
 
@@ -492,8 +552,8 @@ def incomparability_witnesses(count: int = 5, height: int = 20, p: int = 2) -> l
         pairs = random.Random(int(seed)).sample(pool, min(count, len(pool)))
     out = []
     for m, n in pairs:
-        fwd = _difference_member(p, n, m, height)
-        rev = _difference_member(p, m, n, height)
+        fwd = _difference_member(p, n, m)
+        rev = _difference_member(p, m, n)
         out.append(IncomparabilityWitness("(+,%d)" % n, "(+,%d)" % m, fwd, rev))
     return out
 
@@ -506,109 +566,59 @@ def lift_ordering(F, v, residue_cone, all_extensions: bool = False, window: int 
     """Cones upstairs that are compatible with v and induce the given cone on
     the residue.
 
-    The preordering {a : some a*x^2 is a unit with residue class in the
-    cone} is built and extended; every extension is verified compatible and
-    checked to induce the requested residue cone.
+    They are the cones that hold the unit-square pullback {a : some a*x^2 is
+    a unit with residue class in the cone}; every one returned is verified
+    compatible and checked to induce the requested residue cone.
     """
-    if _is_sym(F):
-        return _sym_lift(F, v, residue_cone, all_extensions, window)
-    O, _ = ring_from_valuation(F, v)
-    res = residue_hyperfield(F, O)
-    rep = is_ordering(res.structure, residue_cone)
-    if not rep.ok:
-        raise DomainError("not a residue cone: %s" % rep.summary())
-    T = set()
-    for a in F.nonzero():
-        for x in F.nonzero():
-            ax2 = F.mul(a, F.mul(x, x))
-            if ax2 in res.units and res.class_of(ax2) in residue_cone:
-                T.add(a)
-                break
-    pre = is_preordering(F, T)
-    if not pre.ok:
-        raise InternalCheckError("unit-square pullback is not a preordering: %s" % pre.summary())
-    extensions = maximal_preordering_extensions(F, T, all_extensions)
-    for P in extensions:
-        crep = compatibility_report(F, v, P)
-        if not crep.compatible:
-            raise InternalCheckError("lifted cone is not compatible")
-        _, induced = _finite_residue_cone(F, v, P)
-        if induced != frozenset(residue_cone):
-            raise InternalCheckError("lifted cone induces the wrong residue cone")
-    return extensions
+    return _lift(_frame(F, v, window), residue_cone, all_extensions)
 
 
-def _sym_lift(H, v, residue_cone, all_extensions, window):
-    if v.prefix == 0:
-        # trivial ideal: the residue is the structure and the cone lifts to itself
-        if not sym_is_ordering(H, residue_cone):
-            raise DomainError("not a cone on %s" % H.name)
-        return [residue_cone]
-    res = sym_residue(H)
-    rep = is_ordering(res.structure, residue_cone)
+def _lift(s: _Frame, residue_cone, all_extensions: bool) -> list:
+    if s.residue is None:
+        # the ideal is zero: the residue is the structure and its cone lifts to itself
+        return [s.check_cone(residue_cone)]
+    residue_cone = frozenset(residue_cone)
+    rep = is_ordering(s.residue.structure, residue_cone)
     if not rep.ok:
         raise DomainError("not a residue cone: %s" % rep.summary())
-    # the unit-square pullback consists of the elements with positive sign at
-    # componentwise-even values; every character cone contains it, since
-    # characters are trivial on doubled values
-    lifts = []
-    for P in sym_orderings(H):
-        for gk in _even_window_gammas(H, 3):
-            if not P.contains(STElem(1, gk)):
-                raise InternalCheckError("character cone misses an even-value square element")
-        _, induced = _sym_residue_cone(H, P)
-        if induced != frozenset(residue_cone):
-            continue
-        if not compatibility_report(H, v, P, window).compatible:
-            continue
-        lifts.append(P)
+    F = s.F
+    nonzero = [a for a in s.elements if a != s.zero]
+    squares = {F.mul(x, x) for x in nonzero}
+    pullback = [a for a in nonzero if any(
+        s.is_unit(u) and s.residue.class_of(u) in residue_cone for u in (F.mul(a, q) for q in squares))]
+    lifts = [P for P in s.cones() if all(map(s.cone(P).contains, pullback))]
     if not lifts:
         raise InternalCheckError("no lift found for a valid residue cone")
-    if all_extensions:
-        return lifts
-    return [lifts[0]]
-
-
-def _even_window_gammas(H, B):
-    out = []
-    for g in H.window_gammas(B):
-        if all(c % 2 == 0 for c in g):
-            out.append(g)
-    return out
+    lifts = lifts if all_extensions else lifts[:1]
+    for P in lifts:
+        if not s.report(P).compatible:
+            raise InternalCheckError("lifted cone is not compatible")
+        if s.induced(P) != residue_cone:
+            raise InternalCheckError("lifted cone induces the wrong residue cone")
+    return lifts
 
 
 # ---------------------------------------------------------------------------
 # characters and the correspondence
 
 
-@dataclass(frozen=True)
-class Character:
-    """Group map into {1,-1} fixed by its images on the lex generators."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(s not in (1, -1) for s in self.images):
-            raise DomainError("character images must be +-1")
-
-    def evaluate(self, gamma) -> int:
-        out = 1
-        for s, g in zip(self.images, gamma):
-            if g % 2:
-                out *= s
-        return out
-
-    def label(self) -> str:
-        if not self.images:
-            return "chi()"
-        return "chi(" + "".join("+" if s > 0 else "-" for s in self.images) + ")"
-
-
-def characters_of(G) -> list[Character]:
-    """All characters of a lex power, by generator images."""
+def characters_of(G) -> list[SymOrdering]:
+    """All characters of a lex power, by generator images.  A character is
+    held as the SymOrdering it decides membership for; SymOrdering.chi
+    evaluates it."""
     if not isinstance(G, LexGroup):
         raise DomainError("characters are enumerated for lex groups only")
-    return [Character(images) for images in product((1, -1), repeat=G.k)]
+    return [SymOrdering(images) for images in product((1, -1), repeat=G.k)]
+
+
+def _sign(P: SymOrdering, a: STElem) -> int:
+    return 1 if P.contains(a) else -1
+
+
+def _full_rank_frame(H: SignedValueHyperfield, v: SymValuation, window: int) -> _Frame:
+    if v.prefix != H.k:
+        raise DomainError("the correspondence runs along the full-rank valuation")
+    return _frame(H, v, window)
 
 
 def baer_krull_forward(H: SignedValueHyperfield, v: SymValuation, P: SymOrdering, base: dict, window: int = 4):
@@ -618,50 +628,50 @@ def baer_krull_forward(H: SignedValueHyperfield, v: SymValuation, P: SymOrdering
     under P; well-definedness (dependence on the value alone) and the
     homomorphism law are checked over a window.
     """
-    if v.prefix != H.k:
-        raise DomainError("the correspondence runs along the full-rank valuation")
-    rep = compatibility_report(H, v, P, window)
-    if not rep.compatible:
+    s = _full_rank_frame(H, v, window)
+    P = s.check_cone(P)
+    if not s.report(P).compatible:
         raise DomainError("cone is not compatible with the valuation")
-    _, pbar = _sym_residue_cone(H, P)
+    return _forward(s, P, base)
+
+
+def _forward(s: _Frame, P: SymOrdering, base: dict):
+    H, v = s.F, s.v
+    pbar = s.induced(P)
     Pb = base[pbar]
-    images = []
-    for i in range(H.k):
-        e = tuple(1 if j == i else 0 for j in range(H.k))
-        a = STElem(1, e)
-        images.append(_sym_sign(Pb, a) * _sym_sign(P, a))
-    chi = Character(tuple(images))
-    for a in H.window_elements(window):
-        if chi.evaluate(v.value(a)) != _sym_sign(Pb, a) * _sym_sign(P, a):
+    gens = [STElem(1, tuple(int(j == i) for j in range(H.k))) for i in range(H.k)]
+    chi = SymOrdering(tuple(_sign(Pb, a) * _sign(P, a) for a in gens))
+    for a in s.elements:
+        if a != s.zero and chi.chi(v.value(a)) != _sign(Pb, a) * _sign(P, a):
             raise InternalCheckError("character is not determined by the value alone")
     gammas = H.window_gammas(2)
     for g1 in gammas:
         for g2 in gammas:
             total = tuple(x + y for x, y in zip(g1, g2))
-            if chi.evaluate(total) != chi.evaluate(g1) * chi.evaluate(g2):
+            if chi.chi(total) != chi.chi(g1) * chi.chi(g2):
                 raise InternalCheckError("character violates the homomorphism law")
     return pbar, chi
 
 
-def baer_krull_inverse(H: SignedValueHyperfield, v: SymValuation, residue_cone, chi: Character, base: dict, window: int = 4) -> SymOrdering:
+def baer_krull_inverse(H: SignedValueHyperfield, v: SymValuation, residue_cone, chi: SymOrdering,
+                       base: dict, window: int = 4) -> SymOrdering:
     """Rebuild the cone from a residue cone and a character: x belongs when
     the character at v(x) is positive and x lies in the base cone, or the
     character is negative and -x lies there."""
-    if v.prefix != H.k:
-        raise DomainError("the correspondence runs along the full-rank valuation")
+    return _inverse(_full_rank_frame(H, v, window), residue_cone, chi, base)
+
+
+def _inverse(s: _Frame, residue_cone, chi: SymOrdering, base: dict) -> SymOrdering:
     Pb = base[frozenset(residue_cone)]
-    images = tuple(chi.images[i] * Pb.images[i] for i in range(H.k))
-    P = SymOrdering(images)
-    if not sym_is_ordering(H, P, window):
+    P = SymOrdering(tuple(c * b for c, b in zip(chi.images, Pb.images)))
+    if not s.is_cone(P):
         raise InternalCheckError("constructed cone fails the ordering axioms")
-    rep = compatibility_report(H, v, P, window)
-    if not rep.compatible:
+    if not s.report(P).compatible:
         raise InternalCheckError("constructed cone is not compatible")
-    for x in H.window_elements(window):
-        from_formula = (
-            (chi.evaluate(v.value(x)) == 1 and Pb.contains(x))
-            or (chi.evaluate(v.value(x)) == -1 and Pb.contains(x.neg()))
-        )
+    for x in s.elements:
+        if x == s.zero:
+            continue
+        from_formula = Pb.contains(x) if chi.chi(s.v.value(x)) == 1 else Pb.contains(x.neg())
         if from_formula != P.contains(x):
             raise InternalCheckError("membership formula disagrees with the constructed cone")
     return P
@@ -674,7 +684,7 @@ class BaerKrullTable:
 
     structure: str
     residue_cones: list
-    characters: list[Character]
+    characters: list[SymOrdering]
     rows: list  # (residue cone label, character label, cone label)
     base_choice: dict
 
@@ -699,40 +709,30 @@ def baer_krull_table(H: SignedValueHyperfield, v: SymValuation | None = None, wi
     composites are verified to be identities, the constructed cones are
     verified distinct, and every compatible cone is verified to be hit.
     """
-    if v is None:
-        v = canonical_valuation(H)
-    res = sym_residue(H)
-    residue_cones = enumerate_orderings(res.structure)
-    base = {}
-    for pbar in residue_cones:
-        base[pbar] = lift_ordering(H, v, pbar)[0]
+    s = _full_rank_frame(H, canonical_valuation(H) if v is None else v, window)
+    res = s.residue.structure
+    residue_cones = enumerate_orderings(res)
+    base = {pbar: _lift(s, pbar, False)[0] for pbar in residue_cones}
     chars = characters_of(LexGroup(H.k))
     rows = []
-    seen_cones = []
+    seen = set()
     for pbar in residue_cones:
         for chi in chars:
-            P = baer_krull_inverse(H, v, pbar, chi, base, window)
-            back_pbar, back_chi = baer_krull_forward(H, v, P, base, window)
-            if back_pbar != pbar or back_chi != chi:
+            P = _inverse(s, pbar, chi, base)
+            if _forward(s, P, base) != (pbar, chi):
                 raise InternalCheckError("forward after inverse moved a pair")
-            label = "{" + ", ".join(res.structure.label(i) for i in sorted(pbar)) + "}"
-            rows.append((label, chi.label(), P.label()))
-            seen_cones.append(P)
-    if len({P.images for P in seen_cones}) != len(seen_cones):
+            rows.append((res.label_set(pbar), chi.label("chi"), P.label()))
+            seen.add(P)
+    if len(seen) != len(rows):
         raise InternalCheckError("constructed cones are not distinct")
-    for P in sym_orderings(H):
-        if not compatibility_report(H, v, P, window).compatible:
+    for P in s.cones():
+        if not s.report(P).compatible:
             continue
-        pbar, chi = baer_krull_forward(H, v, P, base, window)
-        P2 = baer_krull_inverse(H, v, pbar, chi, base, window)
-        if P2.images != P.images:
+        if _inverse(s, *_forward(s, P, base), base) != P:
             raise InternalCheckError("inverse after forward moved a cone")
-        if P.images not in {c.images for c in seen_cones}:
+        if P not in seen:
             raise InternalCheckError("a compatible cone escaped the table")
-    base_labels = {
-        "{" + ", ".join(res.structure.label(i) for i in sorted(k)) + "}": p.label()
-        for k, p in base.items()
-    }
+    base_labels = {res.label_set(k): p.label() for k, p in base.items()}
     table = BaerKrullTable(H.name, residue_cones, chars, rows, base_labels)
     expected = len(residue_cones) * (2 ** H.k)
     if table.count != expected:
@@ -751,29 +751,21 @@ def window_cone_pattern_count(H: SignedValueHyperfield, B: int = 4) -> int:
     window-bounded uniqueness statement behind the correspondence.
     """
     gammas = set(H.window_gammas(B))
+    origin = (0,) * H.k
     # a multiplicative pattern is pinned by its generator images once every
     # window value reduces to the origin through generator steps that stay
     # inside the window; verify that reduction first
     for g in gammas:
         cur = g
         steps = 0
-        while cur != gzero(H.k) and steps <= 4 * B * H.k:
+        while cur != origin and steps <= 4 * B * H.k:
             i = max(r for r in range(H.k) if cur[r] != 0)
             step = tuple((1 if cur[r] > 0 else -1) if r == i else 0 for r in range(H.k))
             nxt = tuple(c - s for c, s in zip(cur, step))
-            if nxt not in gammas and nxt != gzero(H.k):
+            if nxt not in gammas and nxt != origin:
                 raise InternalCheckError("window value %s does not reduce inside the window" % (g,))
             cur = nxt
             steps += 1
-        if cur != gzero(H.k):
+        if cur != origin:
             raise InternalCheckError("window value %s failed to reduce" % (g,))
-    count = 0
-    for images in product((1, -1), repeat=H.k):
-        chi = Character(images)
-        P = SymOrdering(images)
-        if sym_is_ordering(H, P, B):
-            for g in gammas:
-                if chi.evaluate(g) != (1 if P.contains(STElem(1, g)) else -1):
-                    raise InternalCheckError("pattern disagrees with its character")
-            count += 1
-    return count
+    return sum(1 for chi in characters_of(LexGroup(H.k)) if sym_is_ordering(H, chi, B))

@@ -169,16 +169,6 @@ class FiniteHyperstructure:
             raise DomainError("malformed structure spec: %s" % exc) from exc
 
 
-def hyper_add(H: FiniteHyperstructure, x: int, y: int) -> frozenset[int]:
-    """The hypersum x+y as a frozenset of indices."""
-    return H.add(x, y)
-
-
-def set_add(H: FiniteHyperstructure, A, B) -> frozenset[int]:
-    """Union of x+y over x in A, y in B."""
-    return H.set_add(A, B)
-
-
 @dataclass(frozen=True)
 class Violation:
     axiom: str

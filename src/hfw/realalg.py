@@ -448,11 +448,6 @@ class OrderingCountComparison:
 
 
 def rational_cone_count(T: QSubgroup, height_bound: int = 100) -> int:
-    """Orderings of Q containing T, by bounded certificate search."""
-    return _rational_cone_count(T, height_bound)
-
-
-def _rational_cone_count(T: QSubgroup, height_bound: int) -> int:
     """Orderings of Q containing T.  The positives form the only cone of Q:
     at bounded height, every positive integer is certified as a sum of at
     most four squares, so any cone must swallow all positives.  T inside the
@@ -487,7 +482,7 @@ def factor_ordering_count_check(field, T, height_bound: int = 100) -> OrderingCo
             detail = "factor presented symbolically as (sign, v_%d) pairs" % T.p
         else:
             raise DomainError("unsupported subgroup kind %r for cone counting" % T.kind)
-        rhs = _rational_cone_count(T, height_bound)
+        rhs = rational_cone_count(T, height_bound)
         return OrderingCountComparison("Q", T.label(), lhs, rhs, detail)
     if isinstance(field, int):
         factor = factor_hyperfield(field, T)

@@ -144,6 +144,8 @@ class STSet:
             return True
         return False
 
+    __contains__ = contains
+
     def union(self, other: STSet) -> STSet:
         def merge(a, b):
             if a is None:
@@ -289,15 +291,13 @@ class AllElements:
     def contains(self, e) -> bool:
         return True
 
+    __contains__ = contains
+
     def __repr__(self) -> str:
         return "ALL"
 
 
 ALL = AllElements()
-
-
-def sym_contains(subset, e: STElem) -> bool:
-    return subset.contains(e)
 
 
 def sym_subset(A, B) -> bool:
@@ -336,6 +336,9 @@ class SignedValueHyperfield:
         self._setmul_cache: dict = {}
 
     # ---- element level ----
+
+    def label(self, e: STElem) -> str:
+        return str(e)
 
     def check_elem(self, e: STElem) -> None:
         if e.is_zero():
@@ -719,6 +722,10 @@ class SymOrdering:
 
     images: tuple[int, ...]  # character on the k lex generators, values +1/-1
 
+    def __post_init__(self):
+        if any(s not in (1, -1) for s in self.images):
+            raise DomainError("character images must be +-1")
+
     @property
     def k(self) -> int:
         return len(self.images)
@@ -757,8 +764,9 @@ class SymOrdering:
             return True
         return False
 
-    def label(self) -> str:
-        return "P(" + "".join("+" if im > 0 else "-" for im in self.images) + ")"
+    def label(self, name: str = "P") -> str:
+        """P(+-...) names the cone; label("chi") names its character."""
+        return name + "(" + "".join("+" if im > 0 else "-" for im in self.images) + ")"
 
 
 def sym_ordering_case_analysis(H: SignedValueHyperfield, P: SymOrdering) -> tuple[bool, tuple | None]:
@@ -881,7 +889,7 @@ def _assemble_subset(H: SignedValueHyperfield, member, B: int = 4):
     probe = H.window_elements(B, include_zero=True)
     answers = {e: member(e) for e in probe}
     for name, cand in candidates:
-        if all(sym_contains(cand, e) == answers[e] for e in probe):
+        if all(cand.contains(e) == answers[e] for e in probe):
             return cand
     raise InternalCheckError("membership pattern matches no known closed shape on %s" % H.name)
 

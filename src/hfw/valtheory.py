@@ -37,7 +37,6 @@ from .sgntrop import (
     canonical_valuation,
     q_punits_hyperfield,
     st_mul,
-    sym_contains,
     trivial_valuation,
 )
 
@@ -505,7 +504,7 @@ def sym_valuation_from_ring(H: SignedValueHyperfield, O, B: int = 4) -> SymValua
     window = H.window_elements(B)
     for a in window:
         for b in window:
-            ratio_in = sym_contains(O, st_mul(b, a.inv()))
+            ratio_in = O.contains(st_mul(b, a.inv()))
             if ratio_in != (v.value(a) <= v.value(b)):
                 raise InternalCheckError("coset order disagrees with the lex value order")
     return v

@@ -1,4 +1,7 @@
+import importlib
 import json
+import os
+import sys
 
 import pytest
 
@@ -147,3 +150,29 @@ def test_baer_krull_command(spec_file, capsys):
     assert findings["residue_cone_count"] == 1
     assert findings["character_count"] == 4
     assert len(findings["rows"]) == 4
+
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
+
+
+def test_front_door_matches_benchmark_goldens(tmp_path, monkeypatch):
+    """Every builtin, factor_fp and sgntrop(2) request of the benchmark
+    catalogue gives, through cli.main --json, the digest recorded in
+    bench/golden.json; requests recorded as known failures are skipped."""
+    monkeypatch.delenv("HFW_SEED", raising=False)
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read bench/, write nothing there
+    catalog = importlib.import_module("catalog")
+    ops = importlib.import_module("ops")
+    golden = catalog.load_golden()["requests"]
+    checked = 0
+    for i, entry in enumerate(catalog.request_entries()):
+        if entry.family not in ("builtin", "factor_fp", "sgntrop2") or golden[entry.id] is None:
+            continue
+        spec = tmp_path / ("%d.json" % i)
+        spec.write_text(json.dumps(entry.spec, sort_keys=True))
+        argv = [entry.args[0], str(spec), *entry.args[1:]]
+        assert ops.digest(ops.request(argv)) == golden[entry.id], entry.id
+        checked += 1
+    assert checked == sum(1 for e in catalog.request_entries()
+                          if e.family in ("builtin", "factor_fp", "sgntrop2")) - len(catalog.KNOWN_FAILURES)

@@ -2,11 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from hfw.hypercore import DomainError
+from hfw import compat, sgntrop
+from hfw.hypercore import DomainError, InternalCheckError
 from hfw.constructions import QSubgroup, fp_squares, q_factor_class, sign_hyperfield
 from hfw.sgntrop import (
+    SignedValueHyperfield,
     SymOrdering,
     canonical_valuation,
+    make_stset,
+    signed_tropical,
     st,
     sym_orderings,
     sym_residue,
@@ -15,7 +19,6 @@ from hfw.sgntrop import (
 from hfw.valtheory import LexGroup, trivial_valuation_on
 from hfw.realalg import enumerate_orderings
 from hfw.compat import (
-    Character,
     baer_krull_forward,
     baer_krull_inverse,
     baer_krull_table,
@@ -53,6 +56,49 @@ def test_all_conditions_fail_on_punits_canonical(punits2):
     assert "(-,0)" in rep.witnesses["cond_iii"]
     # two same-sign elements of different value defeat the bound
     assert "a=(+,0), b=(+,1)" in rep.witnesses["cond_iv"]
+
+
+@pytest.mark.parametrize("x, y, decided", [
+    # 1 + (-,1) gains (-,0): the sweep breaks 1 + M inside P(+)
+    (st(1, 0), st(-1, 1), "the unit neighborhood"),
+    # (+,1) - (+,0) gains (+,0): a=(+,0), b=(+,1) meets P(+) both ways
+    (st(-1, 0), st(1, 1), "the value bound"),
+])
+def test_sweep_disagreeing_with_case_analysis_raises(x, y, decided):
+    """A patched tropical row keeps the valuation and P(+) valid, yet breaks
+    one condition on the window while the row-shape analysis still says
+    tropical rows satisfy it."""
+    both_signs = make_stset((st(1, 0), st(-1, 0)))
+
+    def patch(H, a, b):
+        return both_signs if {a, b} == {x, y} else None
+
+    H = SignedValueHyperfield("tropical", row_patch=patch)
+    with pytest.raises(InternalCheckError, match="disagree on " + decided):
+        compatibility_report(H, canonical_valuation(H), SymOrdering((1,)), window=3)
+
+
+def test_baer_krull_table_validates_once(monkeypatch):
+    """The valuation is validated once and each (cone, window) once, however
+    many reports, lifts and round trips the table builds."""
+    valuations, orderings = [], []
+    is_valuation, is_ordering = sgntrop.sym_is_valuation, sgntrop.sym_is_ordering
+
+    def counted_valuation(H, v, B=4, max_witnesses=10):
+        valuations.append(v)
+        return is_valuation(H, v, B, max_witnesses)
+
+    def counted_ordering(H, P, B=6):
+        orderings.append((P.images, B))
+        return is_ordering(H, P, B)
+
+    for module in (sgntrop, compat):
+        monkeypatch.setattr(module, "sym_is_valuation", counted_valuation)
+        monkeypatch.setattr(module, "sym_is_ordering", counted_ordering)
+    table = baer_krull_table(signed_tropical(2), window=2)
+    assert table.count == 4
+    assert len(valuations) == 1
+    assert orderings and len(set(orderings)) == len(orderings)
 
 
 def test_trivial_valuation_is_always_compatible(punits2, punits3, tropical1):
@@ -137,17 +183,57 @@ def test_incomparability_seeded_sample_still_sound(monkeypatch):
         _check_incomparability_witness(w)
 
 
-def _check_incomparability_witness(w):
+def _searched_difference(p, vx, vy, height):
+    """The height-bounded search that the closed form replaced: the first
+    u = t*p^vx, w = s*p^vy (t, s prime to p) with u - w in a positive class."""
+    T = QSubgroup("punits", p)
+    for t in range(1, height + 1):
+        for s in range(1, height + 1):
+            u, w = t * p**vx, s * p**vy
+            if t % p and s % p and u > w:
+                cls = q_factor_class(Fraction(u - w), T)
+                if cls.sign() > 0:
+                    return (Fraction(u), Fraction(w), Fraction(u - w), cls.label())
+    return None
+
+
+def test_difference_closed_form_matches_search():
+    cases = 0
+    for p in (2, 3, 5, 7):
+        for n in range(1, 9):
+            for m in range(n):
+                height = p ** (n - m) + 2
+                if height > 400:
+                    continue
+                for vx, vy in ((n, m), (m, n)):
+                    assert compat._difference_member(p, vx, vy) == _searched_difference(p, vx, vy, height)
+                    cases += 1
+    assert cases == 216
+
+
+def test_incomparability_at_odd_primes_and_wide_gaps(monkeypatch):
+    monkeypatch.delenv("HFW_SEED", raising=False)
+    for p in (3, 5, 7):
+        wits = incomparability_witnesses(count=5, p=p)
+        assert ("(+,3)", "(+,0)") in [(w.x_label, w.y_label) for w in wits]  # gap 3 needs t > p^3
+        for w in wits:
+            _check_incomparability_witness(w, QSubgroup("punits", p))
+    monkeypatch.setenv("HFW_SEED", "11")
+    for w in incomparability_witnesses(count=36, p=7):
+        _check_incomparability_witness(w, QSubgroup("punits", 7))
+
+
+def _check_incomparability_witness(w, T=PU2):
     u, w1, d, cls = w.x_minus_y
     assert d == u - w1 and d > 0
-    assert q_factor_class(Fraction(u), PU2).label() == w.x_label
-    assert q_factor_class(Fraction(w1), PU2).label() == w.y_label
-    assert q_factor_class(Fraction(d), PU2).label() == cls
+    assert q_factor_class(Fraction(u), T).label() == w.x_label
+    assert q_factor_class(Fraction(w1), T).label() == w.y_label
+    assert q_factor_class(Fraction(d), T).label() == cls
     u2, w2, d2, cls2 = w.y_minus_x
     assert d2 == u2 - w2 and d2 > 0
-    assert q_factor_class(Fraction(u2), PU2).label() == w.y_label
-    assert q_factor_class(Fraction(w2), PU2).label() == w.x_label
-    assert q_factor_class(Fraction(d2), PU2).label() == cls2
+    assert q_factor_class(Fraction(u2), T).label() == w.y_label
+    assert q_factor_class(Fraction(w2), T).label() == w.x_label
+    assert q_factor_class(Fraction(d2), T).label() == cls2
 
 
 def test_lift_tropical_rank_one(tropical1):
@@ -188,17 +274,17 @@ def test_trivial_symbolic_lift_is_the_cone_itself(tropical1):
 def test_characters():
     chars = characters_of(LexGroup(2))
     assert len(chars) == 4
-    assert chars[0].label() == "chi(++)"
-    chi = Character((-1, 1))
-    assert chi.evaluate((1, 0)) == -1
-    assert chi.evaluate((2, 0)) == 1
-    assert chi.evaluate((1, 1)) == -1
+    assert chars[0].label("chi") == "chi(++)"
+    chi = SymOrdering((-1, 1))
+    assert chi.chi((1, 0)) == -1
+    assert chi.chi((2, 0)) == 1
+    assert chi.chi((1, 1)) == -1
     for g1 in ((0, 1), (1, 2), (-1, 3)):
         for g2 in ((2, 2), (1, 0), (-3, 1)):
             total = (g1[0] + g2[0], g1[1] + g2[1])
-            assert chi.evaluate(total) == chi.evaluate(g1) * chi.evaluate(g2)
+            assert chi.chi(total) == chi.chi(g1) * chi.chi(g2)
     with pytest.raises(DomainError):
-        Character((2, 1))
+        SymOrdering((2, 1))
 
 
 def test_baer_krull_forward_and_inverse(tropical1):
