@@ -277,8 +277,8 @@ def cmd_factor(loaded: Loaded, args) -> tuple[dict, bool]:
 def cmd_orderings(loaded: Loaded, args) -> tuple[dict, bool]:
     if loaded.finite is not None:
         F = loaded.finite
-        orderings = enumerate_orderings(F)
         rrep = is_real(F)
+        orderings = rrep.orderings
         entries = []
         for P in orderings:
             entries.append({
@@ -429,11 +429,12 @@ def cmd_enumerate(args) -> tuple[dict, bool]:
         for F in found:
             ok = check_hyperfield(F).ok
             failed = failed or not ok
+            rrep = is_real(F)
             entries.append({
                 "name": F.name,
                 "axioms_ok": ok,
-                "real": is_real(F).real,
-                "orderings": len(enumerate_orderings(F)),
+                "real": rrep.real,
+                "orderings": len(rrep.orderings),
             })
         per_order.append({"order": size, "count": len(found), "structures": entries})
     return {"orders": per_order}, failed

@@ -60,7 +60,6 @@ from .sgntrop import (
 )
 from .valtheory import (
     LexGroup,
-    is_valuation,
     residue_hyperfield,
     ring_from_valuation,
     sym_valuation_from_ring,
@@ -164,9 +163,7 @@ class _Tables(_Frame):
         return list(self.F.elements())
 
     def check_valuation(self):
-        rep = is_valuation(self.F, self.v)
-        if not rep.ok:
-            raise DomainError("invalid valuation: %s" % rep.summary())
+        self.ring  # ring_from_valuation validates v and its ring in one pass
 
     def _value_key(self, x) -> int:
         # the value's rank among the values taken; the group only compares

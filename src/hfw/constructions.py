@@ -24,6 +24,7 @@ from .hypercore import (
     FiniteHyperstructure,
     HomomorphismSpec,
     InternalCheckError,
+    check_canonical_hypergroup,
     check_homomorphism,
     check_hyperfield,
     check_hyperring,
@@ -861,14 +862,16 @@ def enumerate_hyperfields(n: int) -> list[FiniteHyperstructure]:
     """All hyperfields with n elements, up to isomorphism fixing 0 and 1.
 
     The additive table is determined by the rows 1+x through
-    a + b = a * (1 + a^{-1} b), so only those rows are enumerated; candidates
-    are filtered through the full axiom battery and deduplicated.
+    a + b = a * (1 + a^{-1} b), so only those rows are enumerated.  It is
+    commutative exactly when 1+x^{-1} = x^{-1}(1+x) for every x, so the row of
+    x^{-1} is derived from the row of x, and a self-inverse x keeps only rows
+    with x(1+x) = 1+x.  Candidates are filtered through the canonical
+    hypergroup battery, then the full battery, and deduplicated.
     """
     if not 2 <= n <= 5:
         raise DomainError("enumeration supports 2 <= n <= 5")
     m = n - 1
     out: list[FiniteHyperstructure] = []
-    counter = 0
     for gname, gmul in _abelian_groups(m):
         # carrier: 0 plus group elements shifted by one; one = 1
         mul = [[0] * n for _ in range(n)]
@@ -880,31 +883,34 @@ def enumerate_hyperfields(n: int) -> list[FiniteHyperstructure]:
             for b in range(1, n):
                 if mul[a][b] == 1:
                     inv[a] = b
+        free = [x for x in range(1, n) if x <= inv[x]]
         involutions = [t for t in range(1, n) if mul[t][t] == 1]
         for t in involutions:
             neg = tuple(mul[a][t] if a else 0 for a in range(n))
             row_options = []
-            for x in range(1, n):
+            for x in free:
                 opts = []
                 for bits in range(1, 1 << n):
                     cell = frozenset(b for b in range(n) if bits >> b & 1)
                     if (0 in cell) != (x == t):
                         continue
+                    if x == inv[x] and frozenset(mul[x][z] for z in cell) != cell:
+                        continue
                     opts.append(cell)
                 row_options.append(opts)
-            for rows in product(*row_options):
-                counter += 1
-                table = _derive_add_table(n, mul, inv, rows)
-                if table is None:
-                    continue
+            for chosen in product(*row_options):
+                rows = [None] * m
+                for x, cell in zip(free, chosen):
+                    rows[x - 1] = cell
+                    rows[inv[x] - 1] = frozenset(mul[inv[x]][z] for z in cell)
                 cand = FiniteHyperstructure(
-                    name="enum%d-%s-%d" % (n, gname, counter),
+                    name="enum%d-%s" % (n, gname),
                     labels=tuple(str(i) for i in range(n)),
                     zero=0, one=1, neg_table=neg,
                     mul_table=tuple(tuple(r) for r in mul),
-                    add_table=table,
+                    add_table=_derive_add_table(n, mul, inv, rows),
                 )
-                if not check_hyperfield(cand).ok:
+                if not check_canonical_hypergroup(cand).ok or not check_hyperfield(cand).ok:
                     continue
                 if any(find_isomorphism(cand, kept) is not None for kept in out):
                     continue
@@ -915,7 +921,8 @@ def enumerate_hyperfields(n: int) -> list[FiniteHyperstructure]:
 
 
 def _derive_add_table(n, mul, inv, rows):
-    """rows[x-1] = the set 1+x; build a+b = a(1 + a^-1 b), reject asymmetry."""
+    """rows[x-1] = the set 1+x; build a+b = a(1 + a^-1 b), which the row
+    choice has made commutative."""
     table = [[None] * n for _ in range(n)]
     for b in range(n):
         table[0][b] = hset(b)
@@ -925,6 +932,6 @@ def _derive_add_table(n, mul, inv, rows):
             q = mul[inv[a]][b]
             cell = frozenset(mul[a][z] for z in rows[q - 1])
             if table[b][a] is not None and table[b][a] != cell:
-                return None
+                raise InternalCheckError("derived sum table is not commutative at %d+%d" % (a, b))
             table[a][b] = cell
     return tuple(tuple(r) for r in table)

@@ -195,12 +195,6 @@ class ViolationReport:
         if seen < self.max_per_axiom:
             self.violations.append(Violation(axiom, witness, detail))
 
-    def merge(self, other: ViolationReport) -> None:
-        for v in other.violations:
-            self.violations.append(v)
-        for axiom, c in other.counts.items():
-            self.counts[axiom] = self.counts.get(axiom, 0) + c
-
     def summary(self) -> str:
         if self.ok:
             return "%s: all checks passed" % self.structure

@@ -117,6 +117,7 @@ class RealnessReport:
     square_sum_closure: frozenset[int]
     rounds: int
     witness: str
+    orderings: tuple[frozenset[int], ...]  # the cones of the cross-check, in enumeration order
 
 
 def is_real(F: FiniteHyperstructure) -> RealnessReport:
@@ -145,9 +146,10 @@ def is_real(F: FiniteHyperstructure) -> RealnessReport:
         witness = "-1 is itself a nonzero square"
     else:
         witness = "-1 appears among sums of %d nonzero squares" % (rounds + 1)
-    if real != bool(enumerate_orderings(F)):
+    orderings = tuple(enumerate_orderings(F))
+    if real != bool(orderings):
         raise InternalCheckError("realness and cone enumeration disagree on %s" % F.name)
-    return RealnessReport(F.name, real, closure, rounds, witness)
+    return RealnessReport(F.name, real, closure, rounds, witness, orderings)
 
 
 def sign_hom(F: FiniteHyperstructure, P) -> HomomorphismSpec:
@@ -348,28 +350,24 @@ def _require_cone(F: FiniteHyperstructure, P) -> frozenset[int]:
     return P
 
 
-def natural_valuation_ring(F: FiniteHyperstructure, P, disjunctive: bool = False) -> frozenset[int]:
+def natural_valuation_ring(F: FiniteHyperstructure, P) -> frozenset[int]:
     """Elements bounded by some n-fold unit sum on both sides of the cone.
 
     a belongs iff for some n both (S_n + a) and (S_n - a) meet P, where S_n is
     the n-fold hypersum of 1.  Requiring both sides matches the classical
-    |a| <= n; the disjunctive reading is available for experiments only and
-    carries no acceptance weight.
+    |a| <= n.
     """
-    P = _require_cone(F, P)
-    seq = one_sum_sequence(F)
+    return _hull(F, _require_cone(F, P), one_sum_sequence(F))
+
+
+def _hull(F: FiniteHyperstructure, P: frozenset[int], seq: OneSumSequence) -> frozenset[int]:
+    """The natural valuation ring of a validated cone, from its unit sums."""
     members = set()
     for a in F.elements():
-        na = F.neg(a)
-        ok = False
         for S in seq.sets:
-            up = bool(F.set_add(S, hset(a)) & P)
-            down = bool(F.set_add(S, hset(na)) & P)
-            if (up or down) if disjunctive else (up and down):
-                ok = True
+            if F.set_add(S, hset(a)) & P and F.set_add(S, hset(F.neg(a))) & P:
+                members.add(a)
                 break
-        if ok:
-            members.add(a)
     A = frozenset(members)
     if F.one not in A:
         raise InternalCheckError("unity escaped the hull of %s" % F.label_set(P))
@@ -378,7 +376,7 @@ def natural_valuation_ring(F: FiniteHyperstructure, P, disjunctive: bool = False
     return A
 
 
-def natural_valuation_ideal(F: FiniteHyperstructure, P, disjunctive: bool = False) -> frozenset[int]:
+def natural_valuation_ideal(F: FiniteHyperstructure, P) -> frozenset[int]:
     """Elements a with 1 +- S_n*a inside the cone for every n; the unique
     maximal ideal of the hull."""
     P = _require_cone(F, P)
@@ -386,17 +384,11 @@ def natural_valuation_ideal(F: FiniteHyperstructure, P, disjunctive: bool = Fals
     one = hset(F.one)
     members = set()
     for a in F.elements():
-        checks = []
-        for S in seq.sets:
-            Sa = F.set_mul(S, hset(a))
-            up = F.set_add(one, Sa) <= P
-            down = F.set_add(one, F.set_neg(Sa)) <= P
-            checks.append((up, down))
-        if all((u or d) if disjunctive else (u and d) for u, d in checks):
+        sums = [F.set_mul(S, hset(a)) for S in seq.sets]
+        if all(F.set_add(one, Sa) <= P and F.set_add(one, F.set_neg(Sa)) <= P for Sa in sums):
             members.add(a)
     ideal = frozenset(members)
-    hull = natural_valuation_ring(F, P, disjunctive)
-    if not ideal <= hull:
+    if not ideal <= _hull(F, P, seq):
         raise InternalCheckError("ideal of %s escapes its hull" % F.label_set(P))
     return ideal
 

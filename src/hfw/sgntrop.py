@@ -544,9 +544,6 @@ class SignedValueHyperfield:
             return make_stset(pos_ball=thr)
         return make_stset(neg_ball=thr)
 
-    def set_sub(self, A: STSet, B: STSet) -> STSet:
-        return self.set_add(A, B.negated())
-
     # ---- windows ----
 
     def window_gammas(self, B: int) -> list[Gamma]:
@@ -570,9 +567,6 @@ class SignedValueHyperfield:
         """M = {v > 0} + {0}."""
         e = gunit_last(self.k)
         return make_stset(pos_ball=e, neg_ball=e, has_zero=True)
-
-    def unit_set_window(self, B: int) -> list[STElem]:
-        return [STElem(s, gzero(self.k)) for s in (1, -1)]
 
 
 def signed_tropical(k: int = 1) -> SignedValueHyperfield:

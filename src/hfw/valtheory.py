@@ -16,7 +16,6 @@ from .constructions import (
     QSubgroup,
     enumerate_hyperideals,
     is_hyperideal,
-    is_maximal_hyperideal,
     padic_valuation,
     q_factor_class,
     quotient_hyperring,
@@ -196,8 +195,30 @@ def is_valuation(F: FiniteHyperstructure, v: Valuation, max_witnesses: int = 10)
     return rep
 
 
-def is_valuation_hyperring(F: FiniteHyperstructure, O, max_witnesses: int = 10) -> ViolationReport:
-    """Subhyperring holding x or 1/x for every nonzero x.
+@dataclass(frozen=True)
+class ResidueField:
+    """The quotient of a valuation hyperring by its maximal ideal, kept
+    together with the projection data from the parent carrier."""
+
+    structure: FiniteHyperstructure
+    ring_members: tuple[int, ...]
+    units: frozenset[int]
+    ideal: frozenset[int]
+    parent_class: tuple  # parent index -> residue index, None off the ring
+
+    def class_of(self, x: int) -> int:
+        if not 0 <= x < len(self.parent_class):
+            raise DomainError("index %d outside the parent carrier" % x)
+        c = self.parent_class[x]
+        if c is None:
+            raise DomainError("element outside the valuation hyperring")
+        return c
+
+
+def _checked_subring(F: FiniteHyperstructure, O, max_witnesses: int = 10):
+    """The defining conditions of a valuation hyperring O: x or 1/x belongs
+    for every nonzero x, and O induces a subhyperring.  Returns the report
+    and, when nothing fails, the induced subhyperring.
 
     Strictness (full differences of members stay inside) is a theorem for
     valuation hyperrings, so it is asserted once the defining conditions
@@ -221,33 +242,70 @@ def is_valuation_hyperring(F: FiniteHyperstructure, O, max_witnesses: int = 10) 
     if sub is None:
         rep.record("VR-subring", (), "subset does not induce a subhyperring")
     if not rep.ok:
-        return rep
+        return rep, None
     if not sub.strict:
         raise InternalCheckError("valuation hyperring %s is not strict in %s" % (F.label_set(O), F.name))
-    return rep
+    return rep, sub
+
+
+def _ring_pass(F: FiniteHyperstructure, O) -> tuple[ViolationReport, ResidueField | None]:
+    """One pass over a candidate valuation hyperring O of F: its report and,
+    when O is valid, its residue with the units and the maximal ideal.
+
+    The complement of the units is checked to be the unique maximal
+    hyperideal.  The subring's hyperideals are enumerated once, for both the
+    direct maximality check and the uniqueness check; the quotient is built
+    once, for both the quotient route of maximality and the residue.
+    """
+    O = frozenset(O)
+    rep, sub = _checked_subring(F, O)
+    if sub is None:
+        return rep, None
+    units = frozenset(x for x in O if x != F.zero and F.inv(x) in O)
+    M = O - units
+    S = sub.structure
+    msub = frozenset(sub.sub_of(x) for x in M)
+    if not is_hyperideal(S, msub):
+        raise InternalCheckError("complement of the units is not a hyperideal in %s" % S.name)
+    carrier = frozenset(S.elements())
+    ideals = enumerate_hyperideals(S)
+    q = quotient_hyperring(S, msub)
+    direct = not any(msub < J < carrier for J in ideals)
+    via_quotient = q.structure.size > 1 and check_hyperfield(q.structure).ok
+    if direct != via_quotient:
+        raise InternalCheckError("maximal ideal verdicts disagree in %s: direct=%s quotient=%s"
+                                 % (S.name, direct, via_quotient))
+    if not direct:
+        raise InternalCheckError("complement of the units is not maximal in %s" % S.name)
+    for J in ideals:
+        if J != carrier and not J <= msub:
+            raise InternalCheckError("a proper hyperideal of %s escapes the maximal one" % S.name)
+    parent_class: list = [None] * F.size
+    for i, x in enumerate(sub.parent_indices):
+        parent_class[x] = q.class_of[i]
+    renamed = dataclasses.replace(q.structure, name="res(%s)" % F.name)
+    return rep, ResidueField(renamed, sub.parent_indices, units, M, tuple(parent_class))
+
+
+def is_valuation_hyperring(F: FiniteHyperstructure, O, max_witnesses: int = 10) -> ViolationReport:
+    """Subhyperring holding x or 1/x for every nonzero x."""
+    return _checked_subring(F, O, max_witnesses)[0]
+
+
+def residue_hyperfield(F: FiniteHyperstructure, O) -> ResidueField:
+    """Quotient the ring by its maximal ideal; the result must be a
+    hyperfield since the ideal is maximal."""
+    rep, res = _ring_pass(F, O)
+    if res is None:
+        raise DomainError("invalid valuation hyperring: %s" % rep.summary())
+    return res
 
 
 def units_and_maximal_ideal(F: FiniteHyperstructure, O) -> tuple[frozenset[int], frozenset[int]]:
     """Units are the members whose inverse stays inside; the rest form the
     unique maximal hyperideal, which is verified as such."""
-    O = frozenset(O)
-    rep = is_valuation_hyperring(F, O)
-    if not rep.ok:
-        raise DomainError("invalid valuation hyperring: %s" % rep.summary())
-    units = frozenset(x for x in O if x != F.zero and F.inv(x) in O)
-    M = O - units
-    sub = induced_subhyperring(F, O)
-    S = sub.structure
-    msub = frozenset(sub.sub_of(x) for x in M)
-    if not is_hyperideal(S, msub):
-        raise InternalCheckError("complement of the units is not a hyperideal in %s" % S.name)
-    if not is_maximal_hyperideal(S, msub):
-        raise InternalCheckError("complement of the units is not maximal in %s" % S.name)
-    carrier = frozenset(S.elements())
-    for J in enumerate_hyperideals(S):
-        if J != carrier and not J <= msub:
-            raise InternalCheckError("a proper hyperideal of %s escapes the maximal one" % S.name)
-    return units, M
+    res = residue_hyperfield(F, O)
+    return res.units, res.ideal
 
 
 def valuation_from_hyperring(F: FiniteHyperstructure, O) -> Valuation:
@@ -259,7 +317,7 @@ def valuation_from_hyperring(F: FiniteHyperstructure, O) -> Valuation:
     is_valuation and reproduce O.
     """
     O = frozenset(O)
-    units, _ = units_and_maximal_ideal(F, O)
+    units = residue_hyperfield(F, O).units
     nz = sorted(F.nonzero())
     coset_of: dict[int, int] = {}
     cosets: list[frozenset[int]] = []
@@ -333,117 +391,49 @@ def ring_from_valuation(F: FiniteHyperstructure, v: Valuation) -> tuple[frozense
     z = G.zero()
     O = frozenset({F.zero} | {x for x in F.nonzero() if G.le(z, v.values[x])})
     M = frozenset({F.zero} | {x for x in F.nonzero() if G.le(z, v.values[x]) and v.values[x] != z})
-    orep = is_valuation_hyperring(F, O)
-    if not orep.ok:
+    orep, res = _ring_pass(F, O)
+    if res is None:
         raise InternalCheckError("ring of a valuation fails the ring axioms: %s" % orep.summary())
-    _, maxideal = units_and_maximal_ideal(F, O)
-    if M != maxideal:
+    if M != res.ideal:
         raise InternalCheckError("positive part differs from the maximal ideal")
     return O, M
 
 
-@dataclass(frozen=True)
-class ResidueField:
-    """The quotient of a valuation hyperring by its maximal ideal, kept
-    together with the projection data from the parent carrier."""
-
-    structure: FiniteHyperstructure
-    ring_members: tuple[int, ...]
-    units: frozenset[int]
-    ideal: frozenset[int]
-    parent_class: tuple  # parent index -> residue index, None off the ring
-
-    def class_of(self, x: int) -> int:
-        if not 0 <= x < len(self.parent_class):
-            raise DomainError("index %d outside the parent carrier" % x)
-        c = self.parent_class[x]
-        if c is None:
-            raise DomainError("element outside the valuation hyperring")
-        return c
-
-
-def residue_hyperfield(F: FiniteHyperstructure, O) -> ResidueField:
-    """Quotient the ring by its maximal ideal; the result must be a
-    hyperfield since the ideal is maximal."""
-    O = frozenset(O)
-    units, M = units_and_maximal_ideal(F, O)
-    sub = induced_subhyperring(F, O)
-    S = sub.structure
-    msub = frozenset(sub.sub_of(x) for x in M)
-    q = quotient_hyperring(S, msub)
-    frep = check_hyperfield(q.structure)
-    if not frep.ok:
-        raise InternalCheckError("residue of a maximal ideal is not a hyperfield: %s" % frep.summary())
-    renamed = dataclasses.replace(q.structure, name="res(%s)" % F.name)
-    parent_class: list = [None] * F.size
-    for i, x in enumerate(sub.parent_indices):
-        parent_class[x] = q.class_of[i]
-    return ResidueField(renamed, sub.parent_indices, units, M, tuple(parent_class))
-
-
-def _multiplicative_subgroups(F: FiniteHyperstructure) -> list[frozenset[int]]:
-    """All subgroups of the nonzero multiplicative part, by powerset filter."""
-    nz = F.nonzero()
-    out = []
-    for bits in range(1 << len(nz)):
-        S = frozenset(nz[i] for i in range(len(nz)) if bits >> i & 1)
-        if F.one not in S:
-            continue
-        if all(F.mul(a, b) in S for a in S for b in S) and all(F.inv(a) in S for a in S):
-            out.append(S)
-    return out
-
-
-def enumerate_valuation_hyperrings(F: FiniteHyperstructure, bound: int = 12) -> list[frozenset[int]]:
+def enumerate_valuation_hyperrings(F: FiniteHyperstructure) -> list[frozenset[int]]:
     """All valuation hyperrings of a finite hyperfield.
 
-    Candidates are unions of cosets of a unit-subgroup candidate, completed
-    with zero and filtered by the full check; carriers up to 8 are swept by
-    raw powerset as well and the two lists must agree.  A finite hyperfield
-    only ever admits the whole carrier (its value group would otherwise be a
-    nontrivial finite totally ordered group); the search asserts that
-    observation instead of assuming it.
+    A finite hyperfield admits only the whole carrier: the value group of a
+    proper one would be a nontrivial finite totally ordered group, and no
+    such group exists.  Above 8 elements that answer is returned once the
+    whole carrier passes is_valuation_hyperring; up to 8 a raw powerset sweep
+    answers and must agree with it.  A structure that is not a hyperfield
+    gets the sweep alone, up to 8 elements.
     """
     if F.one is None:
         raise DomainError("valuation hyperrings need a unity")
-    if F.size > bound:
-        raise DomainError("carrier too large for ring enumeration")
-    nz = sorted(F.nonzero())
-    candidates = set()
-    for U in _multiplicative_subgroups(F):
-        cosets = []
-        seen: set[int] = set()
-        for x in nz:
-            if x in seen:
-                continue
-            cs = frozenset(F.mul(x, u) for u in U)
-            cosets.append(cs)
-            seen |= cs
-        m = len(cosets)
-        for bits in range(1, 1 << m):
-            S = frozenset().union(*(cosets[i] for i in range(m) if bits >> i & 1))
-            if F.one in S:
-                candidates.add(S | {F.zero})
-    found = [O for O in candidates if is_valuation_hyperring(F, O).ok]
-    found.sort(key=lambda s: (len(s), sorted(s)))
-    if F.size <= 8:
-        brute = []
-        for bits in range(1 << len(nz)):
-            O = frozenset(nz[i] for i in range(len(nz)) if bits >> i & 1) | {F.zero}
-            if is_valuation_hyperring(F, O).ok:
-                brute.append(O)
-        brute.sort(key=lambda s: (len(s), sorted(s)))
-        if brute != found:
-            raise InternalCheckError("subgroup search missed a valuation hyperring on %s" % F.name)
     whole = frozenset(F.elements())
-    if check_hyperfield(F).ok and found != [whole]:
+    hyperfield = check_hyperfield(F).ok
+    if F.size > 8:
+        if not hyperfield:
+            raise DomainError("ring enumeration of a structure that is not a hyperfield stops at 8 elements")
+        if not is_valuation_hyperring(F, whole).ok:
+            raise InternalCheckError("the carrier of %s fails as a valuation hyperring" % F.name)
+        return [whole]
+    nz = F.nonzero()
+    found = []
+    for bits in range(1 << len(nz)):
+        O = frozenset(nz[i] for i in range(len(nz)) if bits >> i & 1) | {F.zero}
+        if is_valuation_hyperring(F, O).ok:
+            found.append(O)
+    found.sort(key=lambda s: (len(s), sorted(s)))
+    if hyperfield and found != [whole]:
         raise InternalCheckError("finite hyperfield %s admits a proper valuation hyperring" % F.name)
     return found
 
 
 def inclusion_reversal_check(F: FiniteHyperstructure, rings) -> bool:
     """O1 inside O2 exactly when M2 inside M1, across all pairs."""
-    data = [(frozenset(O), units_and_maximal_ideal(F, O)[1]) for O in rings]
+    data = [(frozenset(O), residue_hyperfield(F, O).ideal) for O in rings]
     for O1, M1 in data:
         for O2, M2 in data:
             if (O1 <= O2) != (M2 <= M1):

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from hfw import cli, realalg
 from hfw.cli import main
 from hfw.constructions import factor_hyperfield, fp_squares
 
@@ -25,6 +26,22 @@ def test_orderings_sign(spec_file, capsys):
     (cone,) = findings["orderings"]
     assert cone["archimedean"] is True
     assert findings["real"] is True
+
+
+def test_orderings_enumerates_cones_once(spec_file, capsys, monkeypatch):
+    calls = []
+    enumerate_orderings = realalg.enumerate_orderings
+
+    def counting(F):
+        calls.append(F.name)
+        return enumerate_orderings(F)
+
+    monkeypatch.setattr(realalg, "enumerate_orderings", counting)
+    monkeypatch.setattr(cli, "enumerate_orderings", counting)
+    path = spec_file({"kind": "builtin", "name": "sign"})
+    code, out, err = run(capsys, "orderings", path, "--json")
+    assert code == 0 and json.loads(out)["findings"]["count"] == 1
+    assert calls == ["sign"]
 
 
 def test_compat_tropical_all_cells_compatible(spec_file, capsys):
@@ -156,9 +173,9 @@ BENCH_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, 
 
 
 def test_front_door_matches_benchmark_goldens(tmp_path, monkeypatch):
-    """Every builtin, factor_fp and sgntrop(2) request of the benchmark
-    catalogue gives, through cli.main --json, the digest recorded in
-    bench/golden.json; requests recorded as known failures are skipped."""
+    """Every builtin, factor_fp, sgntrop(2) and enumerate request of the
+    benchmark catalogue gives, through cli.main --json, the digest recorded
+    in bench/golden.json; requests recorded as known failures are skipped."""
     monkeypatch.delenv("HFW_SEED", raising=False)
     monkeypatch.syspath_prepend(BENCH_DIR)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read bench/, write nothing there
@@ -166,13 +183,16 @@ def test_front_door_matches_benchmark_goldens(tmp_path, monkeypatch):
     ops = importlib.import_module("ops")
     golden = catalog.load_golden()["requests"]
     checked = 0
+    families = ("builtin", "factor_fp", "sgntrop2", "enumerate")
     for i, entry in enumerate(catalog.request_entries()):
-        if entry.family not in ("builtin", "factor_fp", "sgntrop2") or golden[entry.id] is None:
+        if entry.family not in families or golden[entry.id] is None:
             continue
-        spec = tmp_path / ("%d.json" % i)
-        spec.write_text(json.dumps(entry.spec, sort_keys=True))
-        argv = [entry.args[0], str(spec), *entry.args[1:]]
+        argv = list(entry.args)
+        if entry.spec is not None:
+            spec = tmp_path / ("%d.json" % i)
+            spec.write_text(json.dumps(entry.spec, sort_keys=True))
+            argv.insert(1, str(spec))
         assert ops.digest(ops.request(argv)) == golden[entry.id], entry.id
         checked += 1
     assert checked == sum(1 for e in catalog.request_entries()
-                          if e.family in ("builtin", "factor_fp", "sgntrop2")) - len(catalog.KNOWN_FAILURES)
+                          if e.family in families) - len(catalog.KNOWN_FAILURES)

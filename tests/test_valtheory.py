@@ -2,8 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
-from hfw.hypercore import DomainError, find_isomorphism, induced_subhyperring
-from hfw.constructions import QSubgroup, fp_squares, sign_hyperfield
+from hfw import constructions, hypercore
+from hfw.hypercore import DomainError, check_hyperfield, find_isomorphism, induced_subhyperring
+from hfw.constructions import (
+    QSubgroup,
+    factor_hyperfield,
+    fp_squares,
+    prime_field_hyperfield,
+    sign_hyperfield,
+)
 from hfw.sgntrop import (
     ALL,
     canonical_valuation,
@@ -49,10 +56,39 @@ def test_proper_subset_is_not_a_valuation_ring():
 
 
 def test_enumerate_rings_whole_carrier_only(finite_builtins):
-    for F in finite_builtins:
+    # the two 13-element hyperfields get the theorem's answer with no powerset sweep behind it
+    for F in finite_builtins + [prime_field_hyperfield(13), factor_hyperfield(61, [9]).structure]:
         rings = enumerate_valuation_hyperrings(F)
         assert rings == [frozenset(F.elements())]
         assert inclusion_reversal_check(F, rings)
+
+
+def test_enumerate_rings_of_non_hyperfields():
+    small = prime_field_hyperfield(5).with_add_cell(1, 1, frozenset({2, 3}))
+    assert not check_hyperfield(small).ok
+    assert enumerate_valuation_hyperrings(small) == []  # the sweep still runs up to 8 elements
+    large = prime_field_hyperfield(11).with_add_cell(1, 1, frozenset({2, 3}))
+    assert not check_hyperfield(large).ok
+    with pytest.raises(DomainError):
+        enumerate_valuation_hyperrings(large)
+
+
+def test_residue_runs_each_battery_once(monkeypatch):
+    """One pass: the induced subring, the quotient and the residue's own
+    battery are the only hyperring checks."""
+    calls = []
+    battery = hypercore.check_hyperring
+
+    def counting(H, *args, **kwargs):
+        calls.append(H.name)
+        return battery(H, *args, **kwargs)
+
+    monkeypatch.setattr(hypercore, "check_hyperring", counting)
+    monkeypatch.setattr(constructions, "check_hyperring", counting)
+    F = prime_field_hyperfield(13)
+    res = residue_hyperfield(F, frozenset(F.elements()))
+    assert res.structure.size == 13
+    assert 0 < len(calls) <= 3
 
 
 def test_round_trip_ring_to_valuation(finite_builtins):
