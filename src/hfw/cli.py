@@ -23,7 +23,6 @@ from .compat import (
     compatibility_reports,
     convexity_check,
     incomparability_witnesses,
-    lift_ordering,
 )
 from .constructions import (
     QSubgroup,
@@ -47,12 +46,10 @@ from .hypercore import (
     check_hyperfield,
 )
 from .realalg import (
-    enumerate_orderings,
-    is_archimedean,
-    is_real,
-    natural_valuation_ideal,
-    natural_valuation_ring,
     factor_ordering_count_check,
+    is_real,
+    natural_hull,
+    one_sum_sequence,
     rational_cone_count,
 )
 from .sgntrop import (
@@ -74,10 +71,7 @@ from .valtheory import (
     inclusion_reversal_check,
     induced_valuation_on_factor,
     residue_hyperfield,
-    ring_from_valuation,
     sym_valuation_from_ring,
-    trivial_valuation_on,
-    valuation_from_hyperring,
     valuation_report,
 )
 
@@ -88,6 +82,9 @@ EXIT_INTERNAL = 3
 
 DEFAULT_HEIGHT = 100
 DEFAULT_WINDOW = 6
+# the largest rank any test or benchmark runs; a window sweep over Z^k holds
+# (2B+1)^k values, so larger ranks cannot finish
+MAX_SGNTROP_RANK = 3
 
 
 @dataclass
@@ -143,7 +140,9 @@ def _load_builtin(name: str, spec: dict) -> Loaded:
     if core == "krasner":
         return Loaded("krasner", finite=krasner_hyperfield())
     if core == "sgntrop":
-        k = int(arg) if arg else int(spec.get("k", 1))
+        k = int(arg) if arg else spec.get("k", 1)
+        if not 1 <= k <= MAX_SGNTROP_RANK:
+            raise DomainError("sgntrop(k) takes 1 <= k <= %d, not %d" % (MAX_SGNTROP_RANK, k))
         return Loaded("sgntrop(%d)" % k, sym=signed_tropical(k))
     if core == "q_pos":
         return Loaded("q_pos", finite=_positives_factor_structure(),
@@ -151,11 +150,11 @@ def _load_builtin(name: str, spec: dict) -> Loaded:
     if core == "q_squares":
         return Loaded("q_squares", subgroup=QSubgroup("squares"))
     if core == "q_p_units":
-        p = int(arg) if arg else int(spec.get("p", 2))
+        p = int(arg) if arg else spec.get("p", 2)
         return Loaded("q_p_units(%d)" % p, sym=q_punits_hyperfield(p),
                       subgroup=QSubgroup("punits", p))
     if core == "fp_squares":
-        p = int(arg) if arg else int(spec.get("p", 5))
+        p = int(arg) if arg else spec.get("p", 5)
         return Loaded("fp_squares(%d)" % p, finite=fp_squares(p).structure)
     raise DomainError("unrecognised builtin name %r" % name)
 
@@ -168,17 +167,21 @@ def load_spec(spec: dict) -> Loaded:
         name = spec.get("name")
         if not isinstance(name, str):
             raise DomainError("builtin spec needs a string name")
+        if not all(isinstance(spec.get(key, 0), int) for key in ("k", "p")):
+            raise DomainError("builtin spec fields k and p must be integers")
         return _load_builtin(name, spec)
     if kind == "factor_fp":
         p = spec.get("p")
         gens = spec.get("generators")
-        if not isinstance(p, int) or not isinstance(gens, list):
-            raise DomainError("factor_fp spec needs integer p and a generator list")
+        if not isinstance(p, int) or not isinstance(gens, list) or not all(isinstance(g, int) for g in gens):
+            raise DomainError("factor_fp spec needs integer p and a list of integer generators")
         fh = factor_hyperfield(p, gens)
         return Loaded(fh.structure.name, finite=fh.structure)
     if kind == "table":
         body = {k: v for k, v in spec.items() if k != "kind"}
         F = FiniteHyperstructure.from_json(body)
+        if F.zero == F.one:
+            raise DomainError("a table's zero and one must differ")
         return Loaded(F.name, finite=F)
     raise DomainError("unknown spec kind %r" % kind)
 
@@ -277,63 +280,50 @@ def cmd_factor(loaded: Loaded, args) -> tuple[dict, bool]:
 def cmd_orderings(loaded: Loaded, args) -> tuple[dict, bool]:
     if loaded.finite is not None:
         F = loaded.finite
-        rrep = is_real(F)
-        orderings = rrep.orderings
+        rrep = is_real(F)  # its cones are enumerated and validated
+        # one_sum_sequence refuses sums that do not cycle within its limit,
+        # so it runs only where a cone needs it
+        seq = one_sum_sequence(F) if rrep.orderings else None
         entries = []
-        for P in orderings:
+        for P in rrep.orderings:
+            ring, ideal = natural_hull(F, P, seq)
             entries.append({
                 "cone": sorted(F.label(a) for a in P),
-                "archimedean": is_archimedean(F, P),
-                "natural_ring": sorted(F.label(a) for a in natural_valuation_ring(F, P)),
-                "natural_ideal": sorted(F.label(a) for a in natural_valuation_ideal(F, P)),
+                "archimedean": len(ring) == F.size,
+                "natural_ring": sorted(F.label(a) for a in ring),
+                "natural_ideal": sorted(F.label(a) for a in ideal),
             })
-        findings = {
-            "count": len(orderings),
-            "real": rrep.real,
-            "realness_witness": rrep.witness,
-            "orderings": entries,
-        }
-        if loaded.subgroup is not None:
-            cmp_rep = factor_ordering_count_check("Q", loaded.subgroup, args.height)
-            findings["count_comparison"] = cmp_rep.to_json()
-        return findings, False
-    if loaded.sym is not None:
+        findings = {"count": len(entries), "real": rrep.real, "realness_witness": rrep.witness,
+                    "orderings": entries}
+    elif loaded.sym is not None:
         H = loaded.sym
-        orderings = sym_orderings(H, min(args.window, 6))
-        entries = []
-        for P in orderings:
-            entries.append({
-                "cone": P.label(),
-                "archimedean": sym_natural_ring(H, P) is ALL,
-            })
-        findings = {"count": len(orderings), "real": bool(orderings), "orderings": entries}
-        if loaded.subgroup is not None:
-            cmp_rep = factor_ordering_count_check("Q", loaded.subgroup, args.height)
-            findings["count_comparison"] = cmp_rep.to_json()
-        return findings, False
-    T = loaded.subgroup
-    count = rational_cone_count(T, args.height)
-    return {
-        "base_cones_containing_subgroup": count,
-        "note": "factor side is identified with the base count through the cone correspondence",
-    }, False
+        entries = [{"cone": P.label(), "archimedean": sym_natural_ring(H, P) is ALL}
+                   for P in sym_orderings(H, min(args.window, 6))]
+        findings = {"count": len(entries), "real": bool(entries), "orderings": entries}
+    else:
+        count = rational_cone_count(loaded.subgroup, args.height)
+        return {
+            "base_cones_containing_subgroup": count,
+            "note": "factor side is identified with the base count through the cone correspondence",
+        }, False
+    if loaded.subgroup is not None:
+        findings["count_comparison"] = factor_ordering_count_check("Q", loaded.subgroup, args.height).to_json()
+    return findings, False
 
 
 def cmd_valuations(loaded: Loaded, args) -> tuple[dict, bool]:
     if loaded.finite is not None:
         F = loaded.finite
-        rings = enumerate_valuation_hyperrings(F)
+        records = [residue_hyperfield(F, O) for O in enumerate_valuation_hyperrings(F)]
         entries = []
-        for O in rings:
-            v = valuation_from_hyperring(F, O)
-            res = residue_hyperfield(F, O)
-            entry = valuation_report(F, v)
-            entry["ring"] = sorted(F.label(a) for a in O)
+        for res in records:
+            entry = valuation_report(F, res.valuation)
+            entry["ring"] = sorted(F.label(a) for a in res.ring)
             entry["residue"] = {"name": res.structure.name, "size": res.structure.size}
             entries.append(entry)
         findings = {
-            "ring_count": len(rings),
-            "inclusion_reversal_ok": inclusion_reversal_check(F, rings),
+            "ring_count": len(records),
+            "inclusion_reversal_ok": inclusion_reversal_check(records),
             "valuations": entries,
         }
         return findings, False
@@ -366,7 +356,7 @@ def cmd_compat(loaded: Loaded, args) -> tuple[dict, bool]:
     if loaded.finite is not None:
         F = loaded.finite
         reports = [rep for O in enumerate_valuation_hyperrings(F)
-                   for rep in compatibility_reports(F, valuation_from_hyperring(F, O)).values()]
+                   for rep in compatibility_reports(F, residue_hyperfield(F, O)).values()]
     elif loaded.sym is not None:
         H = loaded.sym
         window = min(args.window, 4 if H.k > 1 else 6)
@@ -387,32 +377,10 @@ def cmd_compat(loaded: Loaded, args) -> tuple[dict, bool]:
 
 
 def cmd_baer_krull(loaded: Loaded, args) -> tuple[dict, bool]:
-    if loaded.sym is not None:
-        table = baer_krull_table(loaded.sym, window=min(args.window, 4))
-        return {"table": table.to_json()}, False
-    if loaded.finite is not None:
-        # the only valuation hyperring of a finite hyperfield is everything,
-        # so the value group is trivial and the table pairs each residue cone
-        # with the empty character
-        F = loaded.finite
-        v = trivial_valuation_on(F)
-        O, _ = ring_from_valuation(F, v)
-        res = residue_hyperfield(F, O)
-        rows = []
-        base = {}
-        for pbar in enumerate_orderings(res.structure):
-            lifted = lift_ordering(F, v, pbar)
-            label = "{" + ", ".join(res.structure.label(i) for i in sorted(pbar)) + "}"
-            base[label] = sorted(F.label(a) for a in lifted[0])
-            rows.append([label, "chi()", sorted(F.label(a) for a in lifted[0])])
-        return {"table": {
-            "structure": F.name,
-            "residue_cone_count": len(rows),
-            "character_count": 1,
-            "rows": rows,
-            "base": base,
-        }}, False
-    raise DomainError("the correspondence runs on a finite or signed-value structure")
+    H = loaded.sym if loaded.sym is not None else loaded.finite
+    if H is None:
+        raise DomainError("the correspondence runs on a finite or signed-value structure")
+    return {"table": baer_krull_table(H, window=min(args.window, 4)).to_json()}, False
 
 
 def cmd_enumerate(args) -> tuple[dict, bool]:
@@ -514,6 +482,9 @@ def main(argv=None) -> int:
     started = time.monotonic()
     spec_obj = None
     try:
+        for flag in ("window", "height"):
+            if getattr(args, flag) < 1:
+                raise DomainError("--%s must be at least 1" % flag)
         if args.command == "enumerate":
             findings, failed = cmd_enumerate(args)
         else:

@@ -36,13 +36,7 @@ from itertools import product
 
 from .constructions import QSubgroup, q_factor_class
 from .hypercore import DomainError, InternalCheckError
-from .realalg import (
-    enumerate_orderings,
-    is_archimedean,
-    is_ordering,
-    natural_valuation_ideal,
-    natural_valuation_ring,
-)
+from .realalg import enumerate_orderings, is_archimedean, is_ordering, natural_hull, one_sum_sequence
 from .sgntrop import (
     STElem,
     SignedValueHyperfield,
@@ -60,11 +54,12 @@ from .sgntrop import (
 )
 from .valtheory import (
     LexGroup,
+    ResidueField,
+    is_valuation,
     residue_hyperfield,
-    ring_from_valuation,
+    residue_of_valuation,
     sym_valuation_from_ring,
-    units_and_maximal_ideal,
-    valuation_from_hyperring,
+    trivial_valuation_on,
 )
 
 
@@ -87,31 +82,25 @@ class _TableCone(frozenset):
 
 class _Frame:
     """One structure seen through the protocol, with one valuation (or none,
-    for the sweeps that need no valuation), checked by whoever built it.
+    for the sweeps that need no valuation) that set_valuation checks.
 
-    Subclasses supply ``elements``, the valuation's check, ring and ideal,
-    its residue, and the cone and label primitives below.  The ring, ideal
-    and residue are built when a sweep first needs them.
+    Subclasses supply ``elements``, ``set_valuation``, ``ring`` (the
+    valuation ring O of v and its ideal M), ``residue`` (the residue of v, or
+    None when the ideal is zero, so that the residue is the structure
+    itself), the natural ring of a cone and the valuation it carries, in the
+    form set_valuation takes, and the cone and label primitives below.  The
+    ring, ideal and residue are built when a sweep first needs them, and
+    each cone's natural ring once.
     """
 
-    def __init__(self, F, v, window: int):
-        self.F, self.v, self.window = F, v, window
+    def __init__(self, F, window: int):
+        self.F, self.window = F, window
         self.zero = F.zero
         self.elements = self._elements()
         self._is_cone: dict = {}
         self._cones = None
+        self._hulls: dict = {}
         self._reports: dict = {}
-
-    @cached_property
-    def ring(self) -> tuple:
-        """The valuation ring O of v and its ideal M."""
-        return self._ring()
-
-    @cached_property
-    def residue(self):
-        """The residue of v, or None when the ideal is zero, so that the
-        residue is the structure itself."""
-        return self._residue()
 
     def is_cone(self, P) -> bool:
         if P not in self._is_cone:
@@ -131,6 +120,13 @@ class _Frame:
             self._cones = self._all_cones()
             self._is_cone.update((P, True) for P in self._cones)
         return self._cones
+
+    def hull(self, P) -> tuple:
+        """The natural ring of a validated cone and, on a finite table, its
+        ideal (None on a signed-value structure); built once per frame."""
+        if P not in self._hulls:
+            self._hulls[P] = self._hull(P)
+        return self._hulls[P]
 
     def report(self, P) -> CompatReport:
         """The report of an already validated cone, built once per frame."""
@@ -157,24 +153,48 @@ class _Frame:
 
 class _Tables(_Frame):
     """A finite table: its window is the whole carrier and a cone is a
-    frozenset of indices."""
+    frozenset of indices.  Its valuation's ring, ideal and residue come from
+    one ring record (valtheory.ResidueField)."""
 
     def _elements(self):
         return list(self.F.elements())
 
-    def check_valuation(self):
-        self.ring  # ring_from_valuation validates v and its ring in one pass
+    def set_valuation(self, v):
+        """A valuation is checked here and the record of its ring built when
+        a cone needs it; a ring record of F was checked when it was built,
+        and its valuation is built when a report needs it."""
+        if isinstance(v, ResidueField):
+            self.record = v
+            return
+        rep = is_valuation(self.F, v)
+        if not rep.ok:
+            raise DomainError("invalid valuation: %s" % rep.summary())
+        self.v = v
+
+    @cached_property
+    def v(self):
+        return self.record.valuation
+
+    @cached_property
+    def record(self) -> ResidueField:
+        return residue_of_valuation(self.F, self.v)
+
+    @cached_property
+    def seq(self):
+        return one_sum_sequence(self.F)
 
     def _value_key(self, x) -> int:
         # the value's rank among the values taken; the group only compares
         le, values = self.v.group.le, self.v.values
         return sum(le(values[y], values[x]) for y in self.F.nonzero())
 
-    def _ring(self):
-        return ring_from_valuation(self.F, self.v)
+    @property
+    def ring(self):
+        return self.record.ring, self.record.ideal
 
-    def _residue(self):
-        return residue_hyperfield(self.F, self.ring[0])
+    @property
+    def residue(self):
+        return self.record
 
     def _cone_ok(self, P) -> bool:
         return is_ordering(self.F, P).ok
@@ -185,14 +205,17 @@ class _Tables(_Frame):
     def cone(self, P):
         return _TableCone(P)
 
-    def natural_ring(self, P):
-        return natural_valuation_ring(self.F, P)
+    def _hull(self, P):
+        return natural_hull(self.F, P, self.seq)
 
-    def natural_valuation(self, P):
-        A = natural_valuation_ring(self.F, P)
-        if units_and_maximal_ideal(self.F, A)[1] != natural_valuation_ideal(self.F, P):
+    def natural_valuation(self, P) -> ResidueField:
+        """The record of the natural ring of a validated cone, whose maximal
+        ideal must be the cone's natural ideal."""
+        ring, ideal = self.hull(P)
+        record = residue_hyperfield(self.F, ring)
+        if record.ideal != ideal:
             raise InternalCheckError("natural ideal differs from the maximal ideal of the natural ring")
-        return valuation_from_hyperring(self.F, A)
+        return record
 
     def cases(self, P) -> dict:
         return {}  # a sweep over the whole carrier is exact
@@ -216,17 +239,20 @@ class _Symbolic(_Frame):
         return sorted(self.F.window_elements(self.window, include_zero=True),
                       key=lambda e: -1 if e.is_zero() else max(map(abs, e.gamma)))
 
-    def check_valuation(self):
-        if not sym_is_valuation(self.F, self.v).ok:
+    def set_valuation(self, v):
+        if not sym_is_valuation(self.F, v).ok:
             raise DomainError("invalid valuation on %s" % self.F.name)
+        self.v = v
 
     def _value_key(self, x):
         return self.v.value(x)  # lex-ordered tuples
 
-    def _ring(self):
+    @cached_property
+    def ring(self):
         return sym_ring_of(self.F, self.v), sym_ideal_of(self.F, self.v)
 
-    def _residue(self):
+    @cached_property
+    def residue(self):
         return sym_residue(self.F) if self.v.prefix else None
 
     def _cone_ok(self, P) -> bool:
@@ -238,11 +264,11 @@ class _Symbolic(_Frame):
     def cone(self, P):
         return P
 
-    def natural_ring(self, P):
-        return sym_natural_ring(self.F, P)
+    def _hull(self, P):
+        return sym_natural_ring(self.F, P), None
 
     def natural_valuation(self, P):
-        return sym_valuation_from_ring(self.F, sym_natural_ring(self.F, P))
+        return sym_valuation_from_ring(self.F, self.hull(P)[0])
 
     def cases(self, P) -> dict:
         return {"cond_iii": _sym_cond_iii_cases(self.F, self.v, P),
@@ -259,10 +285,12 @@ class _Symbolic(_Frame):
 
 
 def _frame(F, v=None, window: int = 6) -> _Frame:
-    """The frame of F; a valuation passed in is validated here."""
-    s = (_Symbolic if isinstance(F, SignedValueHyperfield) else _Tables)(F, v, window)
+    """The frame of F; a valuation passed in is validated here.  On a finite
+    table v may also be a ring record (ResidueField) of F, which stands for
+    its valuation."""
+    s = (_Symbolic if isinstance(F, SignedValueHyperfield) else _Tables)(F, window)
     if v is not None:
-        s.check_valuation()
+        s.set_valuation(v)
     return s
 
 
@@ -272,7 +300,7 @@ def _frame(F, v=None, window: int = 6) -> _Frame:
 
 def _cond_i(s: _Frame, P):
     """The natural valuation ring of the cone sits inside the ring of v."""
-    N, (O, _) = s.natural_ring(P), s.ring
+    N, (O, _) = s.hull(P)[0], s.ring
     for x in s.elements:
         if x in N and x not in O:
             return False, "element %s lies in the natural ring but not in the valuation ring" % s.F.label(x)
@@ -412,7 +440,8 @@ def compatibility_report(F, v, P, window: int = 6) -> CompatReport:
 
 def compatibility_reports(F, v, window: int = 6) -> dict:
     """Every cone of F, in enumeration order, mapped to its report against v;
-    the valuation is validated and the cones are enumerated once."""
+    the valuation is validated and the cones are enumerated once.  On a
+    finite table v may also be a ring record (ResidueField) of F."""
     s = _frame(F, v, window)
     return {P: s.report(P) for P in s.cones()}
 
@@ -426,11 +455,12 @@ def compatible(F, v, P, window: int = 6) -> bool:
 
 
 def _natural_frame(F, P):
-    """The frame of the valuation carried by the natural ring of a cone.
-    Building that valuation from the ring checks it already."""
+    """The frame of F carrying the valuation of the natural ring of a cone,
+    and the validated cone."""
     s = _frame(F)
     P = s.check_cone(P)
-    return type(s)(F, s.natural_valuation(P), s.window), P
+    s.set_valuation(s.natural_valuation(P))
+    return s, P
 
 
 def natural_valuation(F, P):
@@ -440,7 +470,6 @@ def natural_valuation(F, P):
     through the full battery before returning.
     """
     s, P = _natural_frame(F, P)
-    s.check_valuation()
     if not s.report(P).compatible:
         raise InternalCheckError("natural valuation is not compatible with its own cone")
     return s.v
@@ -682,7 +711,7 @@ class BaerKrullTable:
     structure: str
     residue_cones: list
     characters: list[SymOrdering]
-    rows: list  # (residue cone label, character label, cone label)
+    rows: list  # (residue cone label, character label, cone label or labels)
     base_choice: dict
 
     @property
@@ -699,13 +728,16 @@ class BaerKrullTable:
         }
 
 
-def baer_krull_table(H: SignedValueHyperfield, v: SymValuation | None = None, window: int = 4) -> BaerKrullTable:
-    """Build the full correspondence for a signed-value structure.
+def baer_krull_table(H, v: SymValuation | None = None, window: int = 4) -> BaerKrullTable:
+    """Build the full correspondence for a signed-value structure, or for a
+    finite table along its trivial valuation.
 
     Base cones per residue cone come from the deterministic lift.  Both
     composites are verified to be identities, the constructed cones are
     verified distinct, and every compatible cone is verified to be hit.
     """
+    if not isinstance(H, SignedValueHyperfield):
+        return _trivial_table(H)
     s = _full_rank_frame(H, canonical_valuation(H) if v is None else v, window)
     res = s.residue.structure
     residue_cones = enumerate_orderings(res)
@@ -735,6 +767,20 @@ def baer_krull_table(H: SignedValueHyperfield, v: SymValuation | None = None, wi
     if table.count != expected:
         raise InternalCheckError("correspondence size %d differs from %d" % (table.count, expected))
     return table
+
+
+def _trivial_table(F) -> BaerKrullTable:
+    """The correspondence on a finite table.  The only valuation hyperring of
+    a finite hyperfield is the carrier, so the value group is trivial and
+    each residue cone pairs with the empty character; its lift is listed by
+    the labels of its members."""
+    s = _frame(F, trivial_valuation_on(F))
+    res = s.residue.structure
+    residue_cones = enumerate_orderings(res)
+    chi = SymOrdering(())
+    rows = [(res.label_set(pbar), chi.label("chi"), sorted(F.label(a) for a in _lift(s, pbar, False)[0]))
+            for pbar in residue_cones]
+    return BaerKrullTable(F.name, residue_cones, [chi], rows, {label: cone for label, _, cone in rows})
 
 
 def window_cone_pattern_count(H: SignedValueHyperfield, B: int = 4) -> int:

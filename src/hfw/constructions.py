@@ -96,7 +96,7 @@ class FactorHyperfield:
 
 def factor_hyperfield(p: int, generators) -> FactorHyperfield:
     """Krasner's construction for K = F_p and T generated by the given set."""
-    if not _is_prime(p) or p > 101:
+    if p > 101 or not _is_prime(p):
         raise DomainError("p must be a prime <= 101")
     T = subgroup_closure(p, generators)
     cosets = []
@@ -145,7 +145,7 @@ def factor_hyperfield(p: int, generators) -> FactorHyperfield:
 
 def fp_squares(p: int) -> FactorHyperfield:
     """F_p factored by its nonzero squares."""
-    squares = {(a * a) % p for a in range(1, p)}
+    squares = ((a * a) % p for a in range(1, p))  # consumed once p has been checked
     out = factor_hyperfield(p, squares)
     renamed = dataclasses.replace(out.structure, name="F_%d/sq" % p)
     return FactorHyperfield(renamed, out.p, out.subgroup, out.coset_reps)

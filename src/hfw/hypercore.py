@@ -439,9 +439,6 @@ class InducedSubhyperring:
     parent_indices: tuple[int, ...]
     strict: bool
 
-    def parent_of(self, sub_index: int) -> int:
-        return self.parent_indices[sub_index]
-
     def sub_of(self, parent_index: int) -> int | None:
         try:
             return self.parent_indices.index(parent_index)

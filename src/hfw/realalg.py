@@ -357,40 +357,35 @@ def natural_valuation_ring(F: FiniteHyperstructure, P) -> frozenset[int]:
     the n-fold hypersum of 1.  Requiring both sides matches the classical
     |a| <= n.
     """
-    return _hull(F, _require_cone(F, P), one_sum_sequence(F))
-
-
-def _hull(F: FiniteHyperstructure, P: frozenset[int], seq: OneSumSequence) -> frozenset[int]:
-    """The natural valuation ring of a validated cone, from its unit sums."""
-    members = set()
-    for a in F.elements():
-        for S in seq.sets:
-            if F.set_add(S, hset(a)) & P and F.set_add(S, hset(F.neg(a))) & P:
-                members.add(a)
-                break
-    A = frozenset(members)
-    if F.one not in A:
-        raise InternalCheckError("unity escaped the hull of %s" % F.label_set(P))
-    if any((F.neg(a) in A) != (a in A) for a in F.elements()):
-        raise InternalCheckError("hull of %s is not symmetric under negation" % F.label_set(P))
-    return A
+    return natural_hull(F, _require_cone(F, P), one_sum_sequence(F))[0]
 
 
 def natural_valuation_ideal(F: FiniteHyperstructure, P) -> frozenset[int]:
     """Elements a with 1 +- S_n*a inside the cone for every n; the unique
     maximal ideal of the hull."""
-    P = _require_cone(F, P)
-    seq = one_sum_sequence(F)
+    return natural_hull(F, _require_cone(F, P), one_sum_sequence(F))[1]
+
+
+def natural_hull(F: FiniteHyperstructure, P, seq: OneSumSequence) -> tuple[frozenset[int], frozenset[int]]:
+    """The natural valuation ring of a cone and its ideal, from one walk over
+    the carrier and the unit sums seq of F.  Assumes P already validated."""
     one = hset(F.one)
-    members = set()
+    ring, ideal = set(), set()
     for a in F.elements():
-        sums = [F.set_mul(S, hset(a)) for S in seq.sets]
+        ha, hna = hset(a), hset(F.neg(a))
+        if any(F.set_add(S, ha) & P and F.set_add(S, hna) & P for S in seq.sets):
+            ring.add(a)
+        sums = [F.set_mul(S, ha) for S in seq.sets]
         if all(F.set_add(one, Sa) <= P and F.set_add(one, F.set_neg(Sa)) <= P for Sa in sums):
-            members.add(a)
-    ideal = frozenset(members)
-    if not ideal <= _hull(F, P, seq):
+            ideal.add(a)
+    A, I = frozenset(ring), frozenset(ideal)
+    if F.one not in A:
+        raise InternalCheckError("unity escaped the hull of %s" % F.label_set(P))
+    if any((F.neg(a) in A) != (a in A) for a in F.elements()):
+        raise InternalCheckError("hull of %s is not symmetric under negation" % F.label_set(P))
+    if not I <= A:
         raise InternalCheckError("ideal of %s escapes its hull" % F.label_set(P))
-    return ideal
+    return A, I
 
 
 def is_archimedean(F: FiniteHyperstructure, P) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .constructions import (
@@ -195,15 +196,18 @@ def is_valuation(F: FiniteHyperstructure, v: Valuation, max_witnesses: int = 10)
     return rep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidueField:
-    """The quotient of a valuation hyperring by its maximal ideal, kept
-    together with the projection data from the parent carrier."""
+    """One valuation hyperring O of a finite structure, checked once: its
+    units, its maximal ideal, the residue hyperfield O/M with the projection
+    from the parent carrier, and the coset-projection valuation, which is
+    built when first asked for."""
 
-    structure: FiniteHyperstructure
-    ring_members: tuple[int, ...]
+    parent: FiniteHyperstructure
+    ring: frozenset[int]
     units: frozenset[int]
     ideal: frozenset[int]
+    structure: FiniteHyperstructure  # the residue
     parent_class: tuple  # parent index -> residue index, None off the ring
 
     def class_of(self, x: int) -> int:
@@ -213,6 +217,79 @@ class ResidueField:
         if c is None:
             raise DomainError("element outside the valuation hyperring")
         return c
+
+    @cached_property
+    def valuation(self) -> Valuation:
+        """The projection onto unit cosets, ordered by divisibility.
+
+        The coset order is verified to be total, antisymmetric, transitive
+        and translation invariant on all pairs, the comparison is verified to
+        be independent of representatives, and the resulting map must pass
+        is_valuation and reproduce O.
+        """
+        F, O = self.parent, self.ring
+        nz = sorted(F.nonzero())
+        coset_of: dict[int, int] = {}
+        cosets: list[frozenset[int]] = []
+        for x in nz:
+            if x in coset_of:
+                continue
+            cs = frozenset(F.mul(x, u) for u in self.units)
+            cid = len(cosets)
+            cosets.append(cs)
+            for y in cs:
+                coset_of[y] = cid
+        m = len(cosets)
+        reps = [min(cs) for cs in cosets]
+        inv = {x: F.inv(x) for x in nz}
+        le_rows = []
+        for a in range(m):
+            row = []
+            for b in range(m):
+                expected = F.mul(reps[b], inv[reps[a]]) in O
+                for x in cosets[a]:
+                    for y in cosets[b]:
+                        if (F.mul(y, inv[x]) in O) != expected:
+                            raise InternalCheckError("coset comparison depends on representatives")
+                row.append(expected)
+            le_rows.append(tuple(row))
+        le = tuple(le_rows)
+        for a in range(m):
+            for b in range(m):
+                if not le[a][b] and not le[b][a]:
+                    raise InternalCheckError("coset order is not total")
+                if le[a][b] and le[b][a] and a != b:
+                    raise InternalCheckError("coset order is not antisymmetric")
+                for c in range(m):
+                    if le[a][b] and le[b][c] and not le[a][c]:
+                        raise InternalCheckError("coset order is not transitive")
+        sum_table = tuple(
+            tuple(coset_of[F.mul(reps[a], reps[b])] for b in range(m)) for a in range(m)
+        )
+        for a in range(m):
+            for b in range(m):
+                if not le[a][b]:
+                    continue
+                for c in range(m):
+                    if not le[sum_table[a][c]][sum_table[b][c]]:
+                        raise InternalCheckError("coset order is not translation invariant")
+        G = QuotientGroup(
+            source=F.name,
+            labels=tuple(F.label_set(cs) for cs in cosets),
+            sum_table=sum_table,
+            neg_table=tuple(coset_of[inv[reps[a]]] for a in range(m)),
+            le_table=le,
+            zero_elem=coset_of[F.one],
+        )
+        vals = tuple(None if x == F.zero else coset_of[x] for x in F.elements())
+        v = Valuation(F.name, G, vals)
+        vrep = is_valuation(F, v)
+        if not vrep.ok:
+            raise InternalCheckError("coset projection fails the valuation axioms: %s" % vrep.summary())
+        back = frozenset({F.zero} | {x for x in F.nonzero() if G.le(G.zero(), vals[x])})
+        if back != O:
+            raise InternalCheckError("ring of the coset projection differs from the input ring")
+        return v
 
 
 def _checked_subring(F: FiniteHyperstructure, O, max_witnesses: int = 10):
@@ -250,7 +327,8 @@ def _checked_subring(F: FiniteHyperstructure, O, max_witnesses: int = 10):
 
 def _ring_pass(F: FiniteHyperstructure, O) -> tuple[ViolationReport, ResidueField | None]:
     """One pass over a candidate valuation hyperring O of F: its report and,
-    when O is valid, its residue with the units and the maximal ideal.
+    when O is valid, its record with the units, the maximal ideal and the
+    residue.
 
     The complement of the units is checked to be the unique maximal
     hyperideal.  The subring's hyperideals are enumerated once, for both the
@@ -284,7 +362,7 @@ def _ring_pass(F: FiniteHyperstructure, O) -> tuple[ViolationReport, ResidueFiel
     for i, x in enumerate(sub.parent_indices):
         parent_class[x] = q.class_of[i]
     renamed = dataclasses.replace(q.structure, name="res(%s)" % F.name)
-    return rep, ResidueField(renamed, sub.parent_indices, units, M, tuple(parent_class))
+    return rep, ResidueField(F, O, units, M, renamed, tuple(parent_class))
 
 
 def is_valuation_hyperring(F: FiniteHyperstructure, O, max_witnesses: int = 10) -> ViolationReport:
@@ -293,100 +371,25 @@ def is_valuation_hyperring(F: FiniteHyperstructure, O, max_witnesses: int = 10) 
 
 
 def residue_hyperfield(F: FiniteHyperstructure, O) -> ResidueField:
-    """Quotient the ring by its maximal ideal; the result must be a
-    hyperfield since the ideal is maximal."""
+    """The record of a valuation hyperring O: quotient the ring by its
+    maximal ideal; the result must be a hyperfield since the ideal is
+    maximal."""
     rep, res = _ring_pass(F, O)
     if res is None:
         raise DomainError("invalid valuation hyperring: %s" % rep.summary())
     return res
 
 
-def units_and_maximal_ideal(F: FiniteHyperstructure, O) -> tuple[frozenset[int], frozenset[int]]:
-    """Units are the members whose inverse stays inside; the rest form the
-    unique maximal hyperideal, which is verified as such."""
-    res = residue_hyperfield(F, O)
-    return res.units, res.ideal
-
-
 def valuation_from_hyperring(F: FiniteHyperstructure, O) -> Valuation:
-    """The projection onto unit cosets, ordered by divisibility.
-
-    The coset order is verified to be total, antisymmetric, transitive and
-    translation invariant on all pairs, the comparison is verified to be
-    independent of representatives, and the resulting map must pass
-    is_valuation and reproduce O.
-    """
-    O = frozenset(O)
-    units = residue_hyperfield(F, O).units
-    nz = sorted(F.nonzero())
-    coset_of: dict[int, int] = {}
-    cosets: list[frozenset[int]] = []
-    for x in nz:
-        if x in coset_of:
-            continue
-        cs = frozenset(F.mul(x, u) for u in units)
-        cid = len(cosets)
-        cosets.append(cs)
-        for y in cs:
-            coset_of[y] = cid
-    m = len(cosets)
-    reps = [min(cs) for cs in cosets]
-    inv = {x: F.inv(x) for x in nz}
-    le_rows = []
-    for a in range(m):
-        row = []
-        for b in range(m):
-            expected = F.mul(reps[b], inv[reps[a]]) in O
-            for x in cosets[a]:
-                for y in cosets[b]:
-                    if (F.mul(y, inv[x]) in O) != expected:
-                        raise InternalCheckError("coset comparison depends on representatives")
-            row.append(expected)
-        le_rows.append(tuple(row))
-    le = tuple(le_rows)
-    for a in range(m):
-        for b in range(m):
-            if not le[a][b] and not le[b][a]:
-                raise InternalCheckError("coset order is not total")
-            if le[a][b] and le[b][a] and a != b:
-                raise InternalCheckError("coset order is not antisymmetric")
-            for c in range(m):
-                if le[a][b] and le[b][c] and not le[a][c]:
-                    raise InternalCheckError("coset order is not transitive")
-    sum_table = tuple(
-        tuple(coset_of[F.mul(reps[a], reps[b])] for b in range(m)) for a in range(m)
-    )
-    for a in range(m):
-        for b in range(m):
-            if not le[a][b]:
-                continue
-            for c in range(m):
-                if not le[sum_table[a][c]][sum_table[b][c]]:
-                    raise InternalCheckError("coset order is not translation invariant")
-    G = QuotientGroup(
-        source=F.name,
-        labels=tuple(F.label_set(cs) for cs in cosets),
-        sum_table=sum_table,
-        neg_table=tuple(coset_of[inv[reps[a]]] for a in range(m)),
-        le_table=le,
-        zero_elem=coset_of[F.one],
-    )
-    vals = tuple(None if x == F.zero else coset_of[x] for x in F.elements())
-    v = Valuation(F.name, G, vals)
-    vrep = is_valuation(F, v)
-    if not vrep.ok:
-        raise InternalCheckError("coset projection fails the valuation axioms: %s" % vrep.summary())
-    back = frozenset({F.zero} | {x for x in F.nonzero() if G.le(G.zero(), vals[x])})
-    if back != O:
-        raise InternalCheckError("ring of the coset projection differs from the input ring")
-    return v
+    """The projection onto unit cosets, ordered by divisibility; see
+    ResidueField.valuation for its checks."""
+    return residue_hyperfield(F, O).valuation
 
 
-def ring_from_valuation(F: FiniteHyperstructure, v: Valuation) -> tuple[frozenset[int], frozenset[int]]:
-    """The nonnegative part (plus zero) and its positive-part ideal."""
-    rep = is_valuation(F, v)
-    if not rep.ok:
-        raise DomainError("invalid valuation: %s" % rep.summary())
+def residue_of_valuation(F: FiniteHyperstructure, v: Valuation) -> ResidueField:
+    """The record of the ring of a valuation that passed is_valuation: O is
+    the nonnegative part (plus zero), and its positive part must be the
+    maximal ideal."""
     G = v.group
     z = G.zero()
     O = frozenset({F.zero} | {x for x in F.nonzero() if G.le(z, v.values[x])})
@@ -396,7 +399,16 @@ def ring_from_valuation(F: FiniteHyperstructure, v: Valuation) -> tuple[frozense
         raise InternalCheckError("ring of a valuation fails the ring axioms: %s" % orep.summary())
     if M != res.ideal:
         raise InternalCheckError("positive part differs from the maximal ideal")
-    return O, M
+    return res
+
+
+def ring_from_valuation(F: FiniteHyperstructure, v: Valuation) -> tuple[frozenset[int], frozenset[int]]:
+    """The nonnegative part (plus zero) and its positive-part ideal."""
+    rep = is_valuation(F, v)
+    if not rep.ok:
+        raise DomainError("invalid valuation: %s" % rep.summary())
+    res = residue_of_valuation(F, v)
+    return res.ring, res.ideal
 
 
 def enumerate_valuation_hyperrings(F: FiniteHyperstructure) -> list[frozenset[int]]:
@@ -431,14 +443,10 @@ def enumerate_valuation_hyperrings(F: FiniteHyperstructure) -> list[frozenset[in
     return found
 
 
-def inclusion_reversal_check(F: FiniteHyperstructure, rings) -> bool:
-    """O1 inside O2 exactly when M2 inside M1, across all pairs."""
-    data = [(frozenset(O), residue_hyperfield(F, O).ideal) for O in rings]
-    for O1, M1 in data:
-        for O2, M2 in data:
-            if (O1 <= O2) != (M2 <= M1):
-                return False
-    return True
+def inclusion_reversal_check(records) -> bool:
+    """O1 inside O2 exactly when M2 inside M1, across all pairs of the
+    given ring records."""
+    return all((r1.ring <= r2.ring) == (r2.ideal <= r1.ideal) for r1 in records for r2 in records)
 
 
 def valuations_equivalent(F: FiniteHyperstructure, v1: Valuation, v2: Valuation) -> bool:

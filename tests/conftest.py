@@ -1,4 +1,6 @@
 import json
+import sys
+from collections import Counter
 
 import pytest
 
@@ -69,3 +71,28 @@ def spec_file(tmp_path):
         return str(path)
 
     return write
+
+
+@pytest.fixture()
+def count_calls():
+    """count(funcs, thunk) runs thunk and returns the calls of each of funcs,
+    keyed by (function name, name of the structure F it was called on), with
+    thunk's result.  Calls are matched by code object, however the caller
+    imported them."""
+
+    def count(funcs, thunk) -> tuple[Counter, object]:
+        names = {f.__code__: f.__name__ for f in funcs}
+        calls: Counter = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in names:
+                calls[names[frame.f_code], getattr(frame.f_locals.get("F"), "name", None)] += 1
+
+        sys.setprofile(profile)
+        try:
+            result = thunk()
+        finally:
+            sys.setprofile(None)
+        return calls, result
+
+    return count

@@ -1,11 +1,12 @@
 import importlib
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
-from hfw import cli, realalg
+from hfw import cli, realalg, valtheory
 from hfw.cli import main
 from hfw.constructions import factor_hyperfield, fp_squares
 
@@ -28,20 +29,57 @@ def test_orderings_sign(spec_file, capsys):
     assert findings["real"] is True
 
 
-def test_orderings_enumerates_cones_once(spec_file, capsys, monkeypatch):
-    calls = []
-    enumerate_orderings = realalg.enumerate_orderings
-
-    def counting(F):
-        calls.append(F.name)
-        return enumerate_orderings(F)
-
-    monkeypatch.setattr(realalg, "enumerate_orderings", counting)
-    monkeypatch.setattr(cli, "enumerate_orderings", counting)
+def test_orderings_enumerates_cones_once(spec_file, capsys, count_calls):
+    """The cones is_real enumerates are the ones reported, and their natural
+    rings and ideals come from one unit-sum sequence."""
     path = spec_file({"kind": "builtin", "name": "sign"})
-    code, out, err = run(capsys, "orderings", path, "--json")
+    calls, (code, out, err) = count_calls([realalg.enumerate_orderings, realalg.one_sum_sequence],
+                                          lambda: run(capsys, "orderings", path, "--json"))
     assert code == 0 and json.loads(out)["findings"]["count"] == 1
-    assert calls == ["sign"]
+    assert calls == {("enumerate_orderings", "sign"): 1, ("one_sum_sequence", "sign"): 1}
+
+
+@pytest.mark.parametrize("name, structure", [("sign", "sign"), ("fp_squares(7)", "F_7/sq")])
+@pytest.mark.parametrize("command", ["valuations", "compat", "baer-krull"])
+def test_each_ring_checked_once_per_command(spec_file, capsys, count_calls, command, name, structure):
+    """A finite hyperfield has one valuation ring, its carrier: one command
+    checks it in one ring pass, checks its valuation at most once and
+    enumerates the cones of each structure at most once."""
+    path = spec_file({"kind": "builtin", "name": name})
+    calls, (code, _, _) = count_calls([valtheory._ring_pass, valtheory.is_valuation, realalg.enumerate_orderings],
+                                      lambda: run(capsys, command, path, "--json"))
+    assert code == 0
+    assert calls[("_ring_pass", structure)] == 1
+    assert calls[("is_valuation", structure)] <= 1
+    assert all(n == 1 for (fn, _), n in calls.items() if fn == "enumerate_orderings")
+
+
+_TABLE_ZERO_IS_ONE = {"kind": "table", "name": "zero ring", "carrier": ["0"], "zero": 0, "one": 0,
+                      "neg": [0], "mul": [[0]], "add": [[[0]]]}
+
+
+@pytest.mark.parametrize("command, spec, flags", [
+    ("check", {"kind": "builtin", "name": "sgntrop", "k": "x"}, []),
+    ("check", {"kind": "builtin", "name": "fp_squares", "p": "x"}, []),
+    ("check", {"kind": "factor_fp", "p": 7, "generators": ["a"]}, []),
+    ("orderings", _TABLE_ZERO_IS_ONE, []),
+    ("valuations", _TABLE_ZERO_IS_ONE, []),
+    ("compat", _TABLE_ZERO_IS_ONE, []),
+    ("check", {"kind": "builtin", "name": "sgntrop(1)"}, ["--window", "-3"]),
+    ("compat", {"kind": "builtin", "name": "sgntrop(1)"}, ["--window", "-1"]),
+    ("check", {"kind": "builtin", "name": "q_squares"}, ["--height", "0"]),
+    ("check", {"kind": "builtin", "name": "sgntrop(4)"}, []),
+    ("check", {"kind": "builtin", "name": "sgntrop", "k": 10**6}, []),
+    ("check", {"kind": "builtin", "name": "fp_squares", "p": 10**10}, []),
+])
+def test_malformed_input_exits_2_without_traceback(spec_file, command, spec, flags):
+    path = spec_file(spec)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "hfw.cli", command, path, *flags],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "spec error" in proc.stderr
 
 
 def test_compat_tropical_all_cells_compatible(spec_file, capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hfw import compat, sgntrop
+from hfw import compat, sgntrop, valtheory
 from hfw.hypercore import DomainError, InternalCheckError
 from hfw.constructions import QSubgroup, fp_squares, q_factor_class, sign_hyperfield
 from hfw.sgntrop import (
@@ -264,6 +264,21 @@ def test_lift_finite_trivial_valuation():
     v = trivial_valuation_on(S)
     lifts = lift_ordering(S, v, frozenset({1}), all_extensions=True)
     assert lifts == [frozenset({1})]
+
+
+@pytest.mark.parametrize("entry", [
+    lambda S, v: natural_valuation(S, {1}),
+    lambda S, v: residue_ordering_archimedean_check(S, {1}),
+    lambda S, v: compatibility_report(S, v, {1}),
+    lambda S, v: lift_ordering(S, v, {1}),
+])
+def test_finite_entry_points_check_the_ring_once(count_calls, entry):
+    """One ring record per call, and the valuation checked at most once."""
+    S = sign_hyperfield()
+    v = trivial_valuation_on(S)
+    calls, _ = count_calls([valtheory._ring_pass, valtheory.is_valuation], lambda: entry(S, v))
+    assert calls[("_ring_pass", "sign")] == 1
+    assert calls[("is_valuation", "sign")] <= 1
 
 
 def test_trivial_symbolic_lift_is_the_cone_itself(tropical1):

@@ -21,7 +21,7 @@ from hfw.realalg import (
     signature,
     squares_factor_archimedean_check,
 )
-from hfw.valtheory import is_valuation_hyperring, units_and_maximal_ideal
+from hfw.valtheory import is_valuation_hyperring, residue_hyperfield
 
 
 def test_sign_has_exactly_one_ordering():
@@ -132,9 +132,9 @@ def test_natural_hull_is_a_valuation_ring_with_matching_ideal():
     P = frozenset({1})
     A = natural_valuation_ring(S, P)
     assert is_valuation_hyperring(S, A).ok
-    units, ideal = units_and_maximal_ideal(S, A)
-    assert ideal == natural_valuation_ideal(S, P)
-    assert units == A - ideal
+    res = residue_hyperfield(S, A)
+    assert res.ideal == natural_valuation_ideal(S, P)
+    assert res.units == A - res.ideal
 
 
 def test_signature_values():
