@@ -28,6 +28,7 @@ from .constructions import (
     QSubgroup,
     enumerate_hyperfields,
     factor_hyperfield,
+    factor_subgroup,
     fp_squares,
     krasner_hyperfield,
     q_class_mul,
@@ -85,6 +86,10 @@ DEFAULT_WINDOW = 6
 # the largest rank any test or benchmark runs; a window sweep over Z^k holds
 # (2B+1)^k values, so larger ranks cannot finish
 MAX_SGNTROP_RANK = 3
+# the largest table carrier every command finishes on within 10 s on a 2-core
+# VM: at 23 elements the cone search (C(21, 10) candidate subgroups) took
+# 4.6-5.0 s on F_p/T tables and 31 s on a table whose nonzero products are all 1
+MAX_TABLE_CARRIER = 22
 
 
 @dataclass
@@ -159,6 +164,11 @@ def _load_builtin(name: str, spec: dict) -> Loaded:
     raise DomainError("unrecognised builtin name %r" % name)
 
 
+def _check_carrier(size: int) -> None:
+    if size > MAX_TABLE_CARRIER:
+        raise DomainError("table carriers take at most %d elements, not %d" % (MAX_TABLE_CARRIER, size))
+
+
 def load_spec(spec: dict) -> Loaded:
     if not isinstance(spec, dict):
         raise DomainError("spec must be a JSON object")
@@ -175,9 +185,12 @@ def load_spec(spec: dict) -> Loaded:
         gens = spec.get("generators")
         if not isinstance(p, int) or not isinstance(gens, list) or not all(isinstance(g, int) for g in gens):
             raise DomainError("factor_fp spec needs integer p and a list of integer generators")
+        _check_carrier((p - 1) // len(factor_subgroup(p, gens)) + 1)
         fh = factor_hyperfield(p, gens)
         return Loaded(fh.structure.name, finite=fh.structure)
     if kind == "table":
+        if isinstance(spec.get("carrier"), list):
+            _check_carrier(len(spec["carrier"]))
         body = {k: v for k, v in spec.items() if k != "kind"}
         F = FiniteHyperstructure.from_json(body)
         if F.zero == F.one:
@@ -209,7 +222,7 @@ def cmd_check(loaded: Loaded, args) -> tuple[dict, bool]:
         findings = {
             "axioms": rep.to_json(),
             "double_distributivity_inclusion": dd.inclusion_ok,
-            "equality_failures": len(dd.equality_failures),
+            "equality_failures": dd.equality_failure_count,
         }
         return findings, not (rep.ok and dd.inclusion_ok)
     if loaded.sym is not None:

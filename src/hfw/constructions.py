@@ -36,14 +36,44 @@ from .hypercore import (
 # finite prime fields and their factor hyperfields
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+def _primes_below(n: int) -> tuple[int, ...]:
+    sieve = bytearray([1]) * n
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(p for p in range(2, n) if sieve[p])
+
+
+# a sieve, as every import of hfw builds this table
+_TRIAL_PRIMES = _primes_below(1000)
+# Miller-Rabin on these bases is exact below 3.3 * 10**24 (Sorenson and
+# Webster 2015); above that it is a strong probable-prime test
+_WITNESS_BASES = _TRIAL_PRIMES[:13]
+
+
+def _is_prime(n: int) -> bool:
+    """Trial division by the primes below 1000, then Miller-Rabin."""
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for p in _TRIAL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 1000 * 1000:
+        return True
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _WITNESS_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -94,11 +124,16 @@ class FactorHyperfield:
         raise InternalCheckError("cosets do not cover %d mod %d" % (a, self.p))
 
 
-def factor_hyperfield(p: int, generators) -> FactorHyperfield:
-    """Krasner's construction for K = F_p and T generated by the given set."""
+def factor_subgroup(p: int, generators) -> frozenset[int]:
+    """The subgroup T of F_p^x that factor_hyperfield(p, generators) divides by."""
     if p > 101 or not _is_prime(p):
         raise DomainError("p must be a prime <= 101")
-    T = subgroup_closure(p, generators)
+    return subgroup_closure(p, generators)
+
+
+def factor_hyperfield(p: int, generators) -> FactorHyperfield:
+    """Krasner's construction for K = F_p and T generated by the given set."""
+    T = factor_subgroup(p, generators)
     cosets = []
     seen: set[int] = set()
     for a in range(1, p):
@@ -187,23 +222,70 @@ def field_f2() -> FiniteHyperstructure:
 # factors of Q: positives, squares, positive p-adic units
 
 
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite n that is not a perfect square
+    (Brent's variant of Pollard's rho)."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step back one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+    raise InternalCheckError("no rho factor of %d" % n)
+
+
+def _rough_squarefree_part(n: int) -> int:
+    """squarefree_part of n > 0 with no prime factor below 1000."""
+    if n == 1 or _is_prime(n):
+        return n
+    r = math.isqrt(n)
+    if r * r == n:
+        return 1
+    d = _rho_factor(n)
+    a, b = _rough_squarefree_part(d), _rough_squarefree_part(n // d)
+    g = math.gcd(a, b)
+    return a // g * (b // g)
+
+
 def squarefree_part(n: int) -> int:
-    """The squarefree integer in the class of n modulo rational squares."""
+    """The squarefree integer in the class of n modulo rational squares.
+
+    Trial division by the primes below 1000, then Miller-Rabin and Pollard's
+    rho on what is left."""
     if n == 0:
         return 0
     sign = -1 if n < 0 else 1
     n = abs(n)
     out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            n //= p
+            e = 1
+            while n % p == 0:
+                n //= p
                 e += 1
-            if e % 2:
-                out *= d
-        d += 1
+            if e & 1:
+                out *= p
+    else:
+        n = _rough_squarefree_part(n)
     return sign * out * n
 
 
@@ -300,7 +382,8 @@ def q_factor_class(a, T: QSubgroup) -> QClass:
     if T.kind == "positives":
         return QClass(T.kind, 1 if a > 0 else -1)
     if T.kind == "squares":
-        return QClass(T.kind, squarefree_part(a.numerator * a.denominator))
+        # numerator and denominator are coprime, so their parts multiply
+        return QClass(T.kind, squarefree_part(a.numerator) * squarefree_part(a.denominator))
     return QClass(T.kind, (1 if a > 0 else -1, padic_valuation(a, T.p)))
 
 
@@ -317,8 +400,9 @@ def q_class_rep(c: QClass, T: QSubgroup) -> Fraction:
 def q_class_mul(x: QClass, y: QClass, T: QSubgroup) -> QClass:
     if x.is_zero() or y.is_zero():
         return q_zero_class(T)
-    if T.kind == "squares":
-        return QClass(T.kind, squarefree_part(x.rep * y.rep))
+    if T.kind == "squares":  # x.rep, y.rep are squarefree
+        g = math.gcd(x.rep, y.rep)
+        return QClass(T.kind, x.rep // g * (y.rep // g))
     if T.kind == "positives":
         return QClass(T.kind, x.rep * y.rep)
     (s1, v1), (s2, v2) = x.rep, y.rep

@@ -8,8 +8,10 @@ oracles at desk scale (carriers of a few dozen elements).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import product
+from functools import partial, reduce
+from operator import or_
 
 
 class DomainError(ValueError):
@@ -189,11 +191,13 @@ class ViolationReport:
     def ok(self) -> bool:
         return not self.counts
 
-    def record(self, axiom: str, witness: tuple, detail: str) -> None:
+    def record(self, axiom: str, witness: tuple, detail: str | Callable[[], str]) -> None:
+        """Count a violation; keep it while under the cap.  A callable detail
+        is formatted only when the violation is kept."""
         seen = self.counts.get(axiom, 0)
         self.counts[axiom] = seen + 1
         if seen < self.max_per_axiom:
-            self.violations.append(Violation(axiom, witness, detail))
+            self.violations.append(Violation(axiom, witness, detail if isinstance(detail, str) else detail()))
 
     def summary(self) -> str:
         if self.ok:
@@ -225,7 +229,7 @@ def check_canonical_hypergroup(H: FiniteHyperstructure, max_witnesses: int = 10)
     for x in els:
         for y in els:
             if H.add(x, y) != H.add(y, x):
-                rep.record("H2", (x, y), "%s+%s != %s+%s" % (H.label(x), H.label(y), H.label(y), H.label(x)))
+                rep.record("H2", (x, y), lambda: "%s+%s != %s+%s" % (H.label(x), H.label(y), H.label(y), H.label(x)))
     for x in els:
         for y in els:
             xy = H.add(x, y)
@@ -235,24 +239,24 @@ def check_canonical_hypergroup(H: FiniteHyperstructure, max_witnesses: int = 10)
                 if lhs != rhs:
                     rep.record(
                         "H1", (x, y, z),
-                        "(%s+%s)+%s = %s but %s+(%s+%s) = %s"
+                        lambda: "(%s+%s)+%s = %s but %s+(%s+%s) = %s"
                         % (H.label(x), H.label(y), H.label(z), H.label_set(lhs),
                            H.label(x), H.label(y), H.label(z), H.label_set(rhs)),
                     )
     for x in els:
         nx = H.neg(x)
         if H.zero not in H.add(x, nx):
-            rep.record("H3", (x,), "0 not in %s+(%s)" % (H.label(x), H.label(nx)))
+            rep.record("H3", (x,), lambda: "0 not in %s+(%s)" % (H.label(x), H.label(nx)))
         others = [y for y in els if y != nx and H.zero in H.add(x, y)]
         for y in others:
-            rep.record("H3-unique", (x, y), "both %s and %s negate %s" % (H.label(nx), H.label(y), H.label(x)))
+            rep.record("H3-unique", (x, y), lambda: "both %s and %s negate %s" % (H.label(nx), H.label(y), H.label(x)))
     for x in els:
         for y in els:
             for z in H.add(x, y):
                 if y not in H.sub(z, x):
                     rep.record(
                         "H4", (x, y, z),
-                        "%s in %s+%s but %s not in %s-%s"
+                        lambda: "%s in %s+%s but %s not in %s-%s"
                         % (H.label(z), H.label(x), H.label(y), H.label(y), H.label(z), H.label(x)),
                     )
     return rep
@@ -265,17 +269,17 @@ def check_hyperring(H: FiniteHyperstructure, max_witnesses: int = 10) -> Violati
     for x in els:
         for y in els:
             if H.mul(x, y) != H.mul(y, x):
-                rep.record("R2-comm", (x, y), "%s*%s != %s*%s" % (H.label(x), H.label(y), H.label(y), H.label(x)))
+                rep.record("R2-comm", (x, y), lambda: "%s*%s != %s*%s" % (H.label(x), H.label(y), H.label(y), H.label(x)))
             for z in els:
                 if H.mul(H.mul(x, y), z) != H.mul(x, H.mul(y, z)):
                     rep.record("R2-assoc", (x, y, z), "multiplication not associative")
     for x in els:
         if H.mul(x, H.zero) != H.zero:
-            rep.record("R2-zero", (x,), "%s*0 != 0" % H.label(x))
+            rep.record("R2-zero", (x,), lambda: "%s*0 != 0" % H.label(x))
     if H.one is not None:
         for x in els:
             if H.mul(H.one, x) != x:
-                rep.record("R2-unity", (x,), "1*%s != %s" % (H.label(x), H.label(x)))
+                rep.record("R2-unity", (x,), lambda: "1*%s != %s" % (H.label(x), H.label(x)))
     for x in els:
         for y in els:
             for z in els:
@@ -284,7 +288,7 @@ def check_hyperring(H: FiniteHyperstructure, max_witnesses: int = 10) -> Violati
                 if lhs != rhs:
                     rep.record(
                         "R3", (x, y, z),
-                        "%s*(%s+%s) = %s but %s*%s + %s*%s = %s"
+                        lambda: "%s*(%s+%s) = %s but %s*%s + %s*%s = %s"
                         % (H.label(x), H.label(y), H.label(z), H.label_set(lhs),
                            H.label(x), H.label(y), H.label(x), H.label(z), H.label_set(rhs)),
                     )
@@ -300,20 +304,28 @@ def check_hyperfield(H: FiniteHyperstructure, max_witnesses: int = 10) -> Violat
     for x in H.nonzero():
         for y in H.nonzero():
             if H.mul(x, y) == H.zero:
-                rep.record("F-closure", (x, y), "%s*%s = 0 with both nonzero" % (H.label(x), H.label(y)))
+                rep.record("F-closure", (x, y), lambda: "%s*%s = 0 with both nonzero" % (H.label(x), H.label(y)))
     for x in H.nonzero():
         if H.inv(x) is None:
-            rep.record("F-inverse", (x,), "%s has no multiplicative inverse" % H.label(x))
+            rep.record("F-inverse", (x,), lambda: "%s has no multiplicative inverse" % H.label(x))
     return rep
+
+
+# equality failures a double-distributivity report keeps as witnesses
+EQUALITY_WITNESSES = 20
 
 
 @dataclass(frozen=True)
 class DoubleDistributivityReport:
-    """Inclusion always holds in a hyperring; equality can genuinely fail."""
+    """Inclusion always holds in a hyperring; equality can genuinely fail.
+
+    Every inclusion failure is kept.  Equality failures are counted, and the
+    first EQUALITY_WITNESSES of them are kept as witnesses."""
 
     structure: str
     inclusion_ok: bool
     inclusion_failures: tuple[tuple, ...]
+    equality_failure_count: int
     equality_failures: tuple[tuple, ...]
 
     def to_json(self) -> dict:
@@ -321,27 +333,73 @@ class DoubleDistributivityReport:
             "structure": self.structure,
             "inclusion_ok": self.inclusion_ok,
             "inclusion_failures": [list(w) for w in self.inclusion_failures],
-            "equality_failure_count": len(self.equality_failures),
-            "equality_failures": [list(w) for w in self.equality_failures[:20]],
+            "equality_failure_count": self.equality_failure_count,
+            "equality_failures": [list(w) for w in self.equality_failures],
         }
 
 
+def _mask(xs) -> int:
+    m = 0
+    for x in xs:
+        m |= 1 << x
+    return m
+
+
 def check_double_distributivity(H: FiniteHyperstructure) -> DoubleDistributivityReport:
-    """Check (a+b)(c+d) against ac+ad+bc+bd on every quadruple."""
+    """Check (a+b)(c+d) against ac+ad+bc+bd on every quadruple.
+
+    Sets are int bitmasks built once per call.  Each distinct add cell gets
+    an id, and (a+b)(c+d) is computed once per pair of cell ids.  The right
+    side is the left fold ((ac+ad)+bc)+bd of set_add, taken one "mask +
+    element" step at a time through a memo, so a table whose addition is not
+    associative gets the verdict set_add would give.  Quadruples run in
+    product order, which fixes the witnesses and their order.
+    """
+    els = H.elements()
+    mul = H.mul_table
+    ids: dict[frozenset[int], int] = {}
+    cell_id = [[ids.setdefault(cell, len(ids)) for cell in row] for row in H.add_table]
+    # scaled[s][j] is the mask of s*C for the cell C with id j, and
+    # lhs[i][j] the mask of A*C for the cells A, C with ids i, j
+    scaled = [[_mask(row[t] for t in C) for C in ids] for row in mul]
+    lhs = [list(reduce(partial(map, or_), (scaled[s] for s in A))) for A in ids]
+    add = [[_mask(cell) for cell in row] for row in H.add_table]
+    # steps[e][m] is the mask of m + {e}; no mask is 0, as no add cell is empty
+    steps: list[dict[int, int]] = [{} for _ in els]
+
+    def step(m: int, e: int) -> int:
+        out, rest = 0, m
+        while rest:
+            low = rest & -rest
+            out |= add[low.bit_length() - 1][e]
+            rest ^= low
+        steps[e][m] = out
+        return out
+
     incl: list[tuple] = []
     eq: list[tuple] = []
-    els = list(H.elements())
-    for a, b, c, d in product(els, repeat=4):
-        lhs = H.set_mul(H.add(a, b), H.add(c, d))
-        rhs = hset(H.mul(a, c))
-        rhs = H.set_add(rhs, hset(H.mul(a, d)))
-        rhs = H.set_add(rhs, hset(H.mul(b, c)))
-        rhs = H.set_add(rhs, hset(H.mul(b, d)))
-        if not lhs <= rhs:
-            incl.append((a, b, c, d))
-        elif lhs != rhs:
-            eq.append((a, b, c, d))
-    return DoubleDistributivityReport(H.name, not incl, tuple(incl), tuple(eq))
+    eq_count = 0
+    for a in els:
+        mul_a, id_a = mul[a], cell_id[a]
+        for b in els:
+            mul_b, lhs_ab = mul[b], lhs[id_a[b]]
+            for c in els:
+                add_ac, bc, id_c = add[mul_a[c]], mul_b[c], cell_id[c]
+                steps_bc = steps[bc]
+                for d in els:
+                    r = add_ac[mul_a[d]]
+                    r = steps_bc.get(r) or step(r, bc)
+                    bd = mul_b[d]
+                    r = steps[bd].get(r) or step(r, bd)
+                    left = lhs_ab[id_c[d]]
+                    if left != r:
+                        if left & ~r:
+                            incl.append((a, b, c, d))
+                        else:
+                            eq_count += 1
+                            if eq_count <= EQUALITY_WITNESSES:
+                                eq.append((a, b, c, d))
+    return DoubleDistributivityReport(H.name, not incl, tuple(incl), eq_count, tuple(eq))
 
 
 @dataclass(frozen=True)
@@ -382,16 +440,16 @@ def check_homomorphism(phi: HomomorphismSpec, strict: bool = False, max_witnesse
     for x in S.elements():
         for y in S.elements():
             if phi.apply(S.mul(x, y)) != T.mul(phi.apply(x), phi.apply(y)):
-                rep.record("HH2", (x, y), "phi(%s*%s) != phi(%s)*phi(%s)" % (S.label(x), S.label(y), S.label(x), S.label(y)))
+                rep.record("HH2", (x, y), lambda: "phi(%s*%s) != phi(%s)*phi(%s)" % (S.label(x), S.label(y), S.label(x), S.label(y)))
             img = phi.image_set(S.add(x, y))
             tgt = T.add(phi.apply(x), phi.apply(y))
             if not img <= tgt:
-                rep.record("HH3", (x, y), "phi(%s+%s) = %s not within %s" % (S.label(x), S.label(y), T.label_set(img), T.label_set(tgt)))
+                rep.record("HH3", (x, y), lambda: "phi(%s+%s) = %s not within %s" % (S.label(x), S.label(y), T.label_set(img), T.label_set(tgt)))
             elif strict and img != tgt:
-                rep.record("HH3-strict", (x, y), "phi(%s+%s) = %s != %s" % (S.label(x), S.label(y), T.label_set(img), T.label_set(tgt)))
+                rep.record("HH3-strict", (x, y), lambda: "phi(%s+%s) = %s != %s" % (S.label(x), S.label(y), T.label_set(img), T.label_set(tgt)))
     for x in S.elements():
         if phi.apply(S.neg(x)) != T.neg(phi.apply(x)):
-            rep.record("HH-neg", (x,), "phi(-%s) != -phi(%s)" % (S.label(x), S.label(x)))
+            rep.record("HH-neg", (x,), lambda: "phi(-%s) != -phi(%s)" % (S.label(x), S.label(x)))
     return rep
 
 

@@ -51,15 +51,15 @@ def is_ordering(F: FiniteHyperstructure, P, max_witnesses: int = 10) -> Violatio
             if not cell <= P:
                 rep.record(
                     "O-add", (a, b),
-                    "%s+%s = %s leaves the cone" % (F.label(a), F.label(b), F.label_set(cell)),
+                    lambda: "%s+%s = %s leaves the cone" % (F.label(a), F.label(b), F.label_set(cell)),
                 )
             m = F.mul(a, b)
             if m not in P:
-                rep.record("O-mul", (a, b), "%s*%s = %s outside the cone" % (F.label(a), F.label(b), F.label(m)))
+                rep.record("O-mul", (a, b), lambda: "%s*%s = %s outside the cone" % (F.label(a), F.label(b), F.label(m)))
     for a in sorted(P & F.set_neg(P)):
-        rep.record("O-disjoint", (a,), "%s lies in both the cone and its negative" % F.label(a))
+        rep.record("O-disjoint", (a,), lambda: "%s lies in both the cone and its negative" % F.label(a))
     for a in sorted(frozenset(F.nonzero()) - (P | F.set_neg(P))):
-        rep.record("O-cover", (a,), "%s lies in neither the cone nor its negative" % F.label(a))
+        rep.record("O-cover", (a,), lambda: "%s lies in neither the cone nor its negative" % F.label(a))
     return rep
 
 
@@ -190,13 +190,13 @@ def is_preordering(F: FiniteHyperstructure, T, max_witnesses: int = 10) -> Viola
             if not cell <= T:
                 rep.record(
                     "T-add", (a, b),
-                    "%s+%s = %s leaves the set" % (F.label(a), F.label(b), F.label_set(cell)),
+                    lambda: "%s+%s = %s leaves the set" % (F.label(a), F.label(b), F.label_set(cell)),
                 )
             if F.mul(a, b) not in T:
-                rep.record("T-mul", (a, b), "%s*%s escapes" % (F.label(a), F.label(b)))
+                rep.record("T-mul", (a, b), lambda: "%s*%s escapes" % (F.label(a), F.label(b)))
     for x in F.nonzero():
         if F.mul(x, x) not in T:
-            rep.record("T-squares", (x,), "square of %s missing" % F.label(x))
+            rep.record("T-squares", (x,), lambda: "square of %s missing" % F.label(x))
     if F.neg(F.one) in T:
         rep.record("T-minus-one", (F.neg(F.one),), "-1 present")
     return rep

@@ -147,7 +147,7 @@ def is_valuation(F: FiniteHyperstructure, v: Valuation, max_witnesses: int = 10)
         rep.record("V1", (F.zero,), "zero must carry the infinite value")
     for x in F.nonzero():
         if v.values[x] is None:
-            rep.record("V1", (x,), "%s carries no value" % F.label(x))
+            rep.record("V1", (x,), lambda: "%s carries no value" % F.label(x))
     if not rep.ok:
         return rep
     for a in F.nonzero():
@@ -158,7 +158,7 @@ def is_valuation(F: FiniteHyperstructure, v: Valuation, max_witnesses: int = 10)
             elif v.values[ab] != G.add(v.values[a], v.values[b]):
                 rep.record(
                     "V2", (a, b),
-                    "v(%s*%s) differs from v(%s)+v(%s)" % (F.label(a), F.label(b), F.label(a), F.label(b)),
+                    lambda: "v(%s*%s) differs from v(%s)+v(%s)" % (F.label(a), F.label(b), F.label(a), F.label(b)),
                 )
     for a in F.elements():
         for b in F.elements():
@@ -172,14 +172,14 @@ def is_valuation(F: FiniteHyperstructure, v: Valuation, max_witnesses: int = 10)
                 if vc is not None and not G.le(lo, vc):
                     rep.record(
                         "V3", (a, b, c),
-                        "v(%s) below min(v(%s), v(%s))" % (F.label(c), F.label(a), F.label(b)),
+                        lambda: "v(%s) below min(v(%s), v(%s))" % (F.label(c), F.label(a), F.label(b)),
                     )
             if va is not None and vb is not None and va != vb:
                 for c in cell:
                     if v.values[c] != lo:
                         rep.record(
                             "V3-sharp", (a, b, c),
-                            "distinct values but a member of %s+%s strays from the min" % (F.label(a), F.label(b)),
+                            lambda: "distinct values but a member of %s+%s strays from the min" % (F.label(a), F.label(b)),
                         )
     if v.values[F.one] != G.zero():
         rep.record("V-one", (F.one,), "v(1) is not zero")
@@ -187,12 +187,12 @@ def is_valuation(F: FiniteHyperstructure, v: Valuation, max_witnesses: int = 10)
         rep.record("V-one", (F.neg(F.one),), "v(-1) is not zero")
     for a in F.nonzero():
         if v.values[F.neg(a)] != v.values[a]:
-            rep.record("V-neg", (a,), "value of %s changed by negation" % F.label(a))
+            rep.record("V-neg", (a,), lambda: "value of %s changed by negation" % F.label(a))
         ia = F.inv(a)
         if ia is None:
-            rep.record("V-inv", (a,), "%s has no inverse" % F.label(a))
+            rep.record("V-inv", (a,), lambda: "%s has no inverse" % F.label(a))
         elif v.values[ia] != G.neg(v.values[a]):
-            rep.record("V-inv", (a,), "value of 1/%s is not -v(%s)" % (F.label(a), F.label(a)))
+            rep.record("V-inv", (a,), lambda: "value of 1/%s is not -v(%s)" % (F.label(a), F.label(a)))
     return rep
 
 
@@ -312,9 +312,9 @@ def _checked_subring(F: FiniteHyperstructure, O, max_witnesses: int = 10):
     for x in F.nonzero():
         ix = F.inv(x)
         if ix is None:
-            rep.record("VR-field", (x,), "%s has no inverse" % F.label(x))
+            rep.record("VR-field", (x,), lambda: "%s has no inverse" % F.label(x))
         elif x not in O and ix not in O:
-            rep.record("VR-inverse", (x,), "neither %s nor its inverse belongs" % F.label(x))
+            rep.record("VR-inverse", (x,), lambda: "neither %s nor its inverse belongs" % F.label(x))
     sub = induced_subhyperring(F, O)
     if sub is None:
         rep.record("VR-subring", (), "subset does not induce a subhyperring")

@@ -56,6 +56,13 @@ def test_each_ring_checked_once_per_command(spec_file, capsys, count_calls, comm
 
 _TABLE_ZERO_IS_ONE = {"kind": "table", "name": "zero ring", "carrier": ["0"], "zero": 0, "one": 0,
                       "neg": [0], "mul": [[0]], "add": [[[0]]]}
+# one element above the carrier limit, with every nonzero product 1: at 23
+# elements its cone search took 31 s
+_N = cli.MAX_TABLE_CARRIER + 1
+_TABLE_TOO_LARGE = {"kind": "table", "name": "products are 1", "carrier": [str(i) for i in range(_N)],
+                    "zero": 0, "one": 1, "neg": list(range(_N)),
+                    "mul": [[int(a > 0 and b > 0) for b in range(_N)] for a in range(_N)],
+                    "add": [[[a]] * _N for a in range(_N)]}
 
 
 @pytest.mark.parametrize("command, spec, flags", [
@@ -71,6 +78,8 @@ _TABLE_ZERO_IS_ONE = {"kind": "table", "name": "zero ring", "carrier": ["0"], "z
     ("check", {"kind": "builtin", "name": "sgntrop(4)"}, []),
     ("check", {"kind": "builtin", "name": "sgntrop", "k": 10**6}, []),
     ("check", {"kind": "builtin", "name": "fp_squares", "p": 10**10}, []),
+    ("orderings", {"kind": "factor_fp", "p": 67, "generators": [1]}, []),
+    ("orderings", _TABLE_TOO_LARGE, []),
 ])
 def test_malformed_input_exits_2_without_traceback(spec_file, command, spec, flags):
     path = spec_file(spec)

@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -87,6 +89,41 @@ def test_squarefree_part_examples():
     assert squarefree_part(-6) == -6
     assert squarefree_part(49) == 1
     assert squarefree_part(12) == 3
+
+
+def _trial_division_squarefree_part(n: int) -> int:
+    sign, n, out, d = (-1 if n < 0 else 1), abs(n), 1, 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e % 2:
+            out *= d
+        d += 1
+    return sign * out * n
+
+
+def test_squarefree_part_matches_trial_division():
+    for n in range(-10**5, 10**5 + 1):
+        assert squarefree_part(n) == (_trial_division_squarefree_part(n) if n else 0), n
+
+
+def test_squarefree_part_of_large_semiprimes_is_fast():
+    rng = random.Random(12)
+
+    def prime():
+        while True:
+            p = rng.randrange(10**6, 10**7)
+            if all(p % d for d in range(2, int(p**0.5) + 1)):
+                return p
+
+    for _ in range(50):
+        p, q = prime(), prime()
+        start = time.perf_counter()
+        part = squarefree_part(-p * q)
+        assert time.perf_counter() - start < 0.05, (p, q)
+        assert part == (-p * q if p != q else -1)
 
 
 def test_q_factor_class_canonical_reps():

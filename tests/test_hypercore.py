@@ -1,9 +1,19 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfw.constructions import field_f2, krasner_hyperfield, sign_hyperfield
+from hfw.constructions import (
+    factor_hyperfield,
+    factor_subgroup,
+    field_f2,
+    fp_squares,
+    krasner_hyperfield,
+    sign_hyperfield,
+)
 from hfw.hypercore import (
+    EQUALITY_WITNESSES,
     DomainError,
     FiniteHyperstructure,
     HomomorphismSpec,
@@ -13,6 +23,7 @@ from hfw.hypercore import (
     check_hyperring,
     check_homomorphism,
     find_isomorphism,
+    add_table_mutants,
     hset,
     induced_subhyperring,
     kernel,
@@ -77,6 +88,78 @@ def test_double_distributivity_equality_fails_on_f5_factor():
     F = fp_squares(5).structure
     rep = check_double_distributivity(F)
     assert rep.equality_failures
+
+
+def _double_distributivity_by_frozensets(H):
+    """The quadruple loop on frozensets: the right side folds set_add left to
+    right, ((ac+ad)+bc)+bd.  Returns (inclusion failures, equality failures)."""
+    add, mul = H.add_table, H.mul_table
+
+    def plus(A, e):
+        return frozenset().union(*(add[a][e] for a in A))
+
+    incl, eq = [], []
+    for a, b, c, d in product(H.elements(), repeat=4):
+        lhs = frozenset(mul[s][t] for s in add[a][b] for t in add[c][d])
+        rhs = plus(plus(plus(frozenset({mul[a][c]}), mul[a][d]), mul[b][c]), mul[b][d])
+        if not lhs <= rhs:
+            incl.append((a, b, c, d))
+        elif lhs != rhs:
+            eq.append((a, b, c, d))
+    return incl, eq
+
+
+def _small_factor_tables():
+    """Every F_p/T of at most 13 elements."""
+    out = []
+    for p in (q for q in range(2, 102) if all(q % d for d in range(2, q))):
+        seen = set()
+        for g in range(1, p):
+            T = factor_subgroup(p, [g])
+            if T not in seen and (p - 1) // len(T) + 1 <= 13:
+                seen.add(T)
+                out.append(factor_hyperfield(p, [g]).structure)
+    return out
+
+
+def test_double_distributivity_matches_frozenset_route(enumerated_small):
+    structures = [F for n in (2, 3, 4) for F in enumerated_small[n]] + _small_factor_tables()
+    for base in (sign_hyperfield(), krasner_hyperfield(), fp_squares(5).structure):
+        structures += [mutant for _, _, _, mutant in add_table_mutants(base)]
+    inclusion_failed = 0
+    for H in structures:
+        incl, eq = _double_distributivity_by_frozensets(H)
+        rep = check_double_distributivity(H)
+        assert rep.inclusion_ok == (not incl), H.name
+        assert rep.inclusion_failures == tuple(incl), H.name
+        assert rep.equality_failure_count == len(eq), H.name
+        assert rep.equality_failures == tuple(eq[:EQUALITY_WITNESSES]), H.name
+        inclusion_failed += bool(incl)
+    assert inclusion_failed, "no structure in the corpus fails inclusion"
+
+
+def test_double_distributivity_makes_no_calls_per_quadruple(count_calls):
+    H = factor_hyperfield(61, [9]).structure
+    assert H.size == 13
+    S = FiniteHyperstructure
+    calls, rep = count_calls([S.add, S.mul, S._check_index, S.set_add, S.set_mul],
+                             lambda: check_double_distributivity(H))
+    assert rep.inclusion_ok and rep.equality_failure_count
+    assert sum(calls.values()) < H.size ** 2, calls
+
+
+def test_violation_details_formatted_only_when_kept(count_calls):
+    n = 6  # x + y = {x}: neither commutative nor reversible
+    H = FiniteHyperstructure(
+        name="left", labels=tuple(map(str, range(n))), zero=0, one=1, neg_table=tuple(range(n)),
+        mul_table=tuple(tuple(a * b % n for b in range(n)) for a in range(n)),
+        add_table=tuple(tuple(hset(x) for _ in range(n)) for x in range(n)),
+    )
+    calls, rep = count_calls([FiniteHyperstructure.label], lambda: check_hyperfield(H, max_witnesses=1))
+    kept = len(rep.violations)
+    assert sum(rep.counts.values()) > 10 * kept
+    # a detail names at most 8 elements
+    assert sum(calls.values()) <= 8 * kept
 
 
 def test_homomorphism_identity_and_kernel():
