@@ -59,7 +59,6 @@ from .valtheory import (
     residue_hyperfield,
     residue_of_valuation,
     sym_valuation_from_ring,
-    trivial_valuation_on,
 )
 
 
@@ -773,8 +772,13 @@ def _trivial_table(F) -> BaerKrullTable:
     """The correspondence on a finite table.  The only valuation hyperring of
     a finite hyperfield is the carrier, so the value group is trivial and
     each residue cone pairs with the empty character; its lift is listed by
-    the labels of its members."""
-    s = _frame(F, trivial_valuation_on(F))
+    the labels of its members.  A table whose carrier is not a valuation
+    hyperring is not a hyperfield, and is refused (DomainError)."""
+    try:
+        carrier = residue_hyperfield(F, frozenset(F.elements()))
+    except DomainError as exc:
+        raise DomainError("%s is not a hyperfield: %s" % (F.name, exc)) from None
+    s = _frame(F, carrier)
     res = s.residue.structure
     residue_cones = enumerate_orderings(res)
     chi = SymOrdering(())

@@ -12,12 +12,20 @@ optional per-sign tails {(s, d) : d >= threshold} plus a zero flag.  All set
 operations (union, sum, product, containment) are closed and decidable on
 this representation, so universal statements are checked exactly per pair;
 quantifiers over elements run over a value window and are labelled as such.
+
+Elements and sets are hash-consed: one module-level table per class maps a
+value to the one object built for it, and every constructor call returns that
+object.  Equal values are therefore the same object, equality is identity and
+hashing is the object's own, so memo lookups and comparisons in the sweeps
+never walk a set.  A set's members then iterate in an order that follows
+object addresses, not values; everything printed sorts them first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import add as _add, neg as _neg
 
 from .hypercore import DomainError, FiniteHyperstructure, InternalCheckError, ViolationReport
 
@@ -29,11 +37,11 @@ def gzero(k: int) -> Gamma:
 
 
 def gadd(a: Gamma, b: Gamma) -> Gamma:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(_add, a, b))
 
 
 def gneg(a: Gamma) -> Gamma:
-    return tuple(-x for x in a)
+    return tuple(map(_neg, a))
 
 
 def gunit_last(k: int) -> Gamma:
@@ -41,47 +49,64 @@ def gunit_last(k: int) -> Gamma:
     return (0,) * (k - 1) + (1,)
 
 
-@dataclass(frozen=True, eq=False)
-class STElem:
+class _Interned:
+    """Immutable value objects, one per distinct value: the constructor
+    returns the existing object for a value it has built before, so equal
+    values are the same object and equality and hashing are identity."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__,
+                           ", ".join("%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+
+
+_ELEMS: dict = {}  # (sign, gamma) -> its STElem
+_SETS: dict = {}  # (finite, pos_ball, neg_ball, has_zero) -> its STSet
+
+
+class STElem(_Interned):
     """Zero (sign 0) or a signed value (sign +1/-1, value in Z^k)."""
 
+    __slots__ = ("sign", "gamma")
     sign: int
     gamma: Gamma | None
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, STElem):
-            return NotImplemented
-        return self.sign == other.sign and self.gamma == other.gamma
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.sign, self.gamma))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __new__(cls, sign: int, gamma: Gamma | None):
+        key = (sign, gamma)
+        e = _ELEMS.get(key)
+        if e is None:
+            e = object.__new__(cls)
+            object.__setattr__(e, "sign", sign)
+            object.__setattr__(e, "gamma", gamma)
+            _ELEMS[key] = e
+        return e
 
     def is_zero(self) -> bool:
         return self.sign == 0
 
     def neg(self) -> STElem:
-        if self.is_zero():
+        if self.sign == 0:
             return self
         return STElem(-self.sign, self.gamma)
 
     def inv(self) -> STElem:
-        if self.is_zero():
+        if self.sign == 0:
             raise DomainError("zero has no inverse")
         return STElem(self.sign, gneg(self.gamma))
 
     def sort_key(self):
-        if self.is_zero():
+        if self.sign == 0:
             return (0, (), 0)
         return (1, self.gamma, -self.sign)
 
     def __str__(self) -> str:
-        if self.is_zero():
+        if self.sign == 0:
             return "0"
         g = self.gamma[0] if len(self.gamma) == 1 else self.gamma
         return "(%s,%s)" % ("+" if self.sign > 0 else "-", g)
@@ -97,44 +122,37 @@ def st(sign: int, *gamma: int) -> STElem:
 
 
 def st_mul(x: STElem, y: STElem) -> STElem:
-    if x.is_zero() or y.is_zero():
+    if x.sign == 0 or y.sign == 0:
         return ST_ZERO
     if len(x.gamma) != len(y.gamma):
         raise DomainError("mixed ranks")
-    return STElem(x.sign * y.sign, gadd(x.gamma, y.gamma))
+    return STElem(x.sign * y.sign, tuple(map(_add, x.gamma, y.gamma)))
 
 
-@dataclass(frozen=True, eq=False)
-class STSet:
+class STSet(_Interned):
     """finite members + optional per-sign upward tails + zero flag."""
 
+    __slots__ = ("finite", "pos_ball", "neg_ball", "has_zero")
     finite: frozenset[STElem]
     pos_ball: Gamma | None
     neg_ball: Gamma | None
     has_zero: bool
 
-    def _key(self):
-        return (self.finite, self.pos_ball, self.neg_ball, self.has_zero)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, STSet):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self._key())
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __new__(cls, finite, pos_ball: Gamma | None, neg_ball: Gamma | None, has_zero: bool):
+        key = (frozenset(finite), pos_ball, neg_ball, has_zero)
+        S = _SETS.get(key)
+        if S is None:
+            S = object.__new__(cls)
+            for f, v in zip(cls.__slots__, key):
+                object.__setattr__(S, f, v)
+            _SETS[key] = S
+        return S
 
     def is_empty(self) -> bool:
         return not self.finite and self.pos_ball is None and self.neg_ball is None and not self.has_zero
 
     def contains(self, e: STElem) -> bool:
-        if e.is_zero():
+        if e.sign == 0:
             return self.has_zero
         if e in self.finite:
             return True
@@ -145,21 +163,6 @@ class STSet:
         return False
 
     __contains__ = contains
-
-    def union(self, other: STSet) -> STSet:
-        def merge(a, b):
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return min(a, b)
-
-        return make_stset(
-            self.finite | other.finite,
-            merge(self.pos_ball, other.pos_ball),
-            merge(self.neg_ball, other.neg_ball),
-            self.has_zero or other.has_zero,
-        )
 
     def negated(self) -> STSet:
         return make_stset(
@@ -241,36 +244,49 @@ def make_stset(finite=(), pos_ball: Gamma | None = None, neg_ball: Gamma | None 
                has_zero: bool = False) -> STSet:
     """Canonical form: members absorbed by a tail are dropped, and a member
     sitting just below a tail threshold extends the tail downward.  This makes
-    structural equality coincide with set equality."""
+    structural equality coincide with set equality, and with interning, set
+    equality coincide with identity."""
     fin = set()
     for e in finite:
-        if e.is_zero():
+        if e.sign == 0:
             has_zero = True
-            continue
-        fin.add((e.sign, e.gamma))
+        else:
+            fin.add(e)
     balls = {1: pos_ball, -1: neg_ball}
     for sign in (1, -1):
         thr = balls[sign]
-        if thr is None:
+        if thr is None or not fin:
             continue
-        changed = True
-        while changed:
-            changed = False
-            below = _lex_pred(thr)
-            if (sign, below) in fin:
-                fin.discard((sign, below))
-                thr = below
-                changed = True
+        # an element never built cannot be a member
+        below = _ELEMS.get((sign, _lex_pred(thr)))
+        while below in fin:
+            fin.discard(below)
+            thr = below.gamma
+            below = _ELEMS.get((sign, _lex_pred(thr)))
         balls[sign] = thr
-        fin = {sg for sg in fin if not (sg[0] == sign and sg[1] >= thr)}
-    members = frozenset(STElem(s, g) for s, g in fin)
-    return STSet(members, balls[1], balls[-1], has_zero)
+        fin = {e for e in fin if e.sign != sign or e.gamma < thr}
+    return STSet(fin, balls[1], balls[-1], has_zero)
+
+
+def st_union(sets) -> STSet:
+    """The union of the given sets, canonicalised once."""
+    fin: set = set()
+    pos = neg = None
+    has_zero = False
+    for S in sets:
+        fin |= S.finite
+        if S.pos_ball is not None and (pos is None or S.pos_ball < pos):
+            pos = S.pos_ball
+        if S.neg_ball is not None and (neg is None or S.neg_ball < neg):
+            neg = S.neg_ball
+        has_zero = has_zero or S.has_zero
+    return make_stset(fin, pos, neg, has_zero)
 
 
 def st_singleton(e: STElem) -> STSet:
-    if e.is_zero():
-        return make_stset(has_zero=True)
-    return make_stset((e,))
+    if e.sign == 0:
+        return STSet((), None, None, True)
+    return STSet((e,), None, None, False)  # already canonical
 
 
 def st_ball(gamma: Gamma) -> STSet:
@@ -341,7 +357,7 @@ class SignedValueHyperfield:
         return str(e)
 
     def check_elem(self, e: STElem) -> None:
-        if e.is_zero():
+        if e.sign == 0:
             return
         if e.sign not in (-1, 1) or e.gamma is None or len(e.gamma) != self.k:
             raise DomainError("element %r not in carrier of %s" % (e, self.name))
@@ -360,14 +376,11 @@ class SignedValueHyperfield:
         return x.inv()
 
     def add(self, x: STElem, y: STElem) -> STSet:
-        self.check_elem(x)
-        self.check_elem(y)
-        key = (x, y)
-        hit = self._row_cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._row(x, y)
-        self._row_cache[key] = out
+        out = self._row_cache.get((x, y))
+        if out is None:  # a cached pair was checked when it was computed
+            self.check_elem(x)
+            self.check_elem(y)
+            out = self._row_cache[x, y] = self._row(x, y)
         return out
 
     def _row(self, x: STElem, y: STElem) -> STSet:
@@ -375,14 +388,14 @@ class SignedValueHyperfield:
             patched = self.row_patch(self, x, y)
             if patched is not None:
                 return patched
-        if x.is_zero():
+        if x.sign == 0:
             return st_singleton(y)
-        if y.is_zero():
+        if y.sign == 0:
             return st_singleton(x)
         gx, gy = x.gamma, y.gamma
         if self.kind == "tropical":
             if x.sign == y.sign:
-                return st_singleton(STElem(x.sign, min(gx, gy)))
+                return st_singleton(x if gx <= gy else y)
             if gx < gy:
                 return st_singleton(x)
             if gy < gx:
@@ -493,10 +506,8 @@ class SignedValueHyperfield:
         hit = self._setadd_cache.get(key)
         if hit is not None:
             return hit
-        out = make_stset()
-        for p in self._parts(A):
-            for q in self._parts(B):
-                out = out.union(self._part_add(p, q))
+        qs = self._parts(B)
+        out = st_union([self._part_add(p, q) for p in self._parts(A) for q in qs])
         self._setadd_cache[key] = out
         self._setadd_cache[(B, A)] = out
         return out
@@ -508,12 +519,11 @@ class SignedValueHyperfield:
         hit = self._setmul_cache.get(key)
         if hit is not None:
             return hit
-        out = make_stset()
+        hb = self._mul_halves(B)
+        parts = [self._half_mul(pa, pb) for pa in self._mul_halves(A) for pb in hb]
         if A.has_zero or B.has_zero:
-            out = out.union(make_stset(has_zero=True))
-        for pa in self._mul_halves(A):
-            for pb in self._mul_halves(B):
-                out = out.union(self._half_mul(pa, pb))
+            parts.append(st_singleton(ST_ZERO))
+        out = st_union(parts)
         self._setmul_cache[key] = out
         self._setmul_cache[(B, A)] = out
         return out
@@ -588,120 +598,105 @@ def st_axiom_check(H: SignedValueHyperfield, B: int = 4, max_witnesses: int = 10
 
     Pair and triple quantifiers run over the window; each individual identity
     is still decided exactly on the tail-aware set representation.
+
+    Sets are interned, so two results agree exactly when they are the same
+    object.  The loops read rows, sums and products from H's caches and from
+    local tables; only a value computed for the first time costs a call, so
+    on a structure that has been checked before no loop makes a call per
+    triple.
     """
     rep = ViolationReport(H.name, max_per_axiom=max_witnesses)
     elems = H.window_elements(B, include_zero=True)
-    nonzero = [e for e in elems if not e.is_zero()]
+    nonzero = [e for e in elems if e.sign]
     n = len(elems)
     sing = {e: st_singleton(e) for e in elems}
+    # a miss reads None; a set is never falsy, so `cached(key) or compute`
+    cached_add = H._row_cache.get
+    cached_set_add = H._setadd_cache.get
+    cached_set_mul = H._setmul_cache.get
 
-    # commutativity first, computing each orientation independently
+    # commutativity first, computing each orientation independently; rows
+    # then holds the orientation met first for both, as later loops use it
+    rows: dict = {}
     for i, x in enumerate(elems):
         for y in elems[i:]:
-            if H.add(x, y) != H.add(y, x):
+            rxy = cached_add((x, y)) or H.add(x, y)
+            if rxy is not (cached_add((y, x)) or H.add(y, x)):
                 rep.record("H2", (str(x), str(y)), "sum not commutative")
+            rows[x, y] = rows[y, x] = rxy
 
     # with commutativity settled, associativity for a triple reduces to the
     # three bracketings (ab)c, (bc)a, (ac)b agreeing, so sorted triples suffice
-    rows: dict = {}
-
-    def rowf(a, b):
-        r = rows.get((a, b))
-        if r is None:
-            r = H.add(a, b)
-            rows[(a, b)] = r
-            rows[(b, a)] = r
-        return r
-
-    sadd_memo: dict = {}
-
-    def sadd(S, e):
-        key = (S, e)
-        r = sadd_memo.get(key)
-        if r is None:
-            r = H.set_add(S, sing[e])
-            sadd_memo[key] = r
-        return r
-
     for i in range(n):
         x = elems[i]
+        sx = sing[x]
         for j in range(i, n):
             y = elems[j]
-            rxy = rowf(x, y)
-            for l in range(j, n):
-                z = elems[l]
-                t1 = sadd(rxy, z)
-                t2 = sadd(rowf(y, z), x)
-                if t1 != t2 or t1 != sadd(rowf(x, z), y):
-                    rep.record("H1", (str(x), str(y), str(z)), "set sum not associative")
+            sy = sing[y]
+            rxy = rows[x, y]
+            for z in elems[j:]:
+                sz = sing[z]
+                t1 = cached_set_add((rxy, sz)) or H.set_add(rxy, sz)
+                ryz = rows[y, z]
+                if t1 is (cached_set_add((ryz, sx)) or H.set_add(ryz, sx)):
+                    rxz = rows[x, z]
+                    if t1 is (cached_set_add((rxz, sy)) or H.set_add(rxz, sy)):
+                        continue
+                rep.record("H1", (str(x), str(y), str(z)), "set sum not associative")
 
     canon = {(e.sign, e.gamma): e for e in elems}
-    nmap = {e: canon[(-e.sign, e.gamma)] if not e.is_zero() else e for e in elems}
+    nmap = {e: canon[(-e.sign, e.gamma)] if e.sign else e for e in elems}
 
     for x in elems:
-        negs = [y for y in elems if rowf(x, y).has_zero]
+        negs = [y for y in elems if rows[x, y].has_zero]
         expected = nmap[x]
         if expected not in negs:
             rep.record("H3", (str(x),), "0 not in x + (-x)")
         for y in negs:
-            if y != expected:
+            if y is not expected:
                 rep.record("H3-unique", (str(x), str(y)), "second negative in window")
 
-    samp_memo: dict = {}
-    back_memo: dict = {}
+    samples_of: dict = {}
     for x in elems:
-        nx = nmap[x]
-        snx = sing[nx]
+        snx = sing[nmap[x]]
         for y in elems:
-            S = rowf(x, y)
-            samples = samp_memo.get(S)
+            S = rows[x, y]
+            samples = samples_of.get(S)
             if samples is None:
-                samples = S.sample_members()
-                samp_memo[S] = samples
+                samples = samples_of[S] = S.sample_members()
             for z in samples:
-                key = (z, nx)
-                back = back_memo.get(key)
-                if back is None:
-                    back = H.set_add(st_singleton(z), snx)
-                    back_memo[key] = back
+                sz = sing.get(z)
+                if sz is None:
+                    sz = sing[z] = st_singleton(z)
+                back = cached_set_add((sz, snx)) or H.set_add(sz, snx)
                 if not back.contains(y):
                     rep.record("H4", (str(x), str(y), str(z)), "reversibility fails")
 
-    mulc = {}
-    for x in elems:
-        for y in elems:
-            mulc[(x, y)] = st_mul(x, y)
+    mulc = {(x, y): st_mul(x, y) for x in elems for y in elems}
     for x in nonzero:
         for y in nonzero:
-            if mulc[(x, y)].is_zero():
+            if not mulc[x, y].sign:
                 rep.record("F-closure", (str(x), str(y)), "zero divisor")
 
-    lhs_memo: dict = {}
     for i in range(n):
         x = elems[i]
-        for j in range(i, n):
-            y = elems[j]
-            rxy = rowf(x, y)
+        for y in elems[i:]:
+            rxy = rows[x, y]
             for z in elems:
-                key = (z, rxy)
-                lhs = lhs_memo.get(key)
-                if lhs is None:
-                    lhs = H.set_mul(sing[z], rxy)
-                    lhs_memo[key] = lhs
-                zx = mulc[(z, x)]
-                zy = mulc[(z, y)]
+                sz = sing[z]
+                lhs = cached_set_mul((sz, rxy)) or H.set_mul(sz, rxy)
+                zx = mulc[z, x]
+                zy = mulc[z, y]
                 rhs = rows.get((zx, zy))
                 if rhs is None:
-                    rhs = H.add(zx, zy)
-                    rows[(zx, zy)] = rhs
-                    rows[(zy, zx)] = rhs
-                if lhs != rhs:
+                    rhs = rows[zx, zy] = rows[zy, zx] = cached_add((zx, zy)) or H.add(zx, zy)
+                if lhs is not rhs:
                     rep.record("R3", (str(z), str(x), str(y)), "distributivity fails")
 
     for x in nonzero:
-        if st_mul(x, x.inv()) != H.one:
+        if st_mul(x, x.inv()) is not H.one:
             rep.record("F-inverse", (str(x),), "inverse fails")
-        if st_mul(H.one, x) != x:
+        if st_mul(H.one, x) is not x:
             rep.record("R2-unity", (str(x),), "unity fails")
     return rep
 
@@ -735,7 +730,7 @@ class SymOrdering:
         return all(im == 1 for im in self.images)
 
     def contains(self, e: STElem) -> bool:
-        if e.is_zero():
+        if e.sign == 0:
             return False
         return e.sign == self.chi(e.gamma)
 
@@ -888,17 +883,11 @@ def _assemble_subset(H: SignedValueHyperfield, member, B: int = 4):
     raise InternalCheckError("membership pattern matches no known closed shape on %s" % H.name)
 
 
-def _same_subset(a, b) -> bool:
-    if a is ALL or b is ALL:
-        return a is b
-    return a == b
-
-
 def sym_natural_ring(H: SignedValueHyperfield, P: SymOrdering, B: int = 4):
     """The finiteness ring of P, from the definition, fitted to a closed shape."""
     shape = _assemble_subset(H, lambda e: sym_natural_ring_member(H, P, e), B)
     expected = ALL if H.kind == "punits" else H.valuation_ring()
-    if not _same_subset(shape, expected):
+    if shape is not expected:
         raise InternalCheckError("finiteness ring disagrees with the derived shape on %s" % H.name)
     return shape
 
@@ -907,7 +896,7 @@ def sym_natural_ideal(H: SignedValueHyperfield, P: SymOrdering, B: int = 4):
     """The infinitesimal ideal of P, from the definition, fitted to a closed shape."""
     shape = _assemble_subset(H, lambda e: sym_natural_ideal_member(H, P, e), B)
     expected = make_stset(has_zero=True) if H.kind == "punits" else H.valuation_ideal()
-    if shape != expected:
+    if shape is not expected:
         raise InternalCheckError("infinitesimal ideal disagrees with the derived shape on %s" % H.name)
     return shape
 
@@ -924,7 +913,7 @@ class SymValuation:
     neg_shift: int = 0  # test hook: shift values of negative elements
 
     def value(self, e: STElem) -> Gamma:
-        if e.is_zero():
+        if e.sign == 0:
             raise DomainError("valuation undefined at zero")
         v = e.gamma[: self.prefix]
         if self.neg_shift and e.sign < 0 and self.prefix:

@@ -63,6 +63,12 @@ _TABLE_TOO_LARGE = {"kind": "table", "name": "products are 1", "carrier": [str(i
                     "zero": 0, "one": 1, "neg": list(range(_N)),
                     "mul": [[int(a > 0 and b > 0) for b in range(_N)] for a in range(_N)],
                     "add": [[[a]] * _N for a in range(_N)]}
+# every nonzero product 1 and x + y = {x}: not a hyperring, so its carrier is
+# no valuation hyperring and the correspondence has nothing to run along
+_TABLE_NOT_HYPERRING = {"kind": "table", "name": "left sums", "carrier": ["0", "1", "2"],
+                        "zero": 0, "one": 1, "neg": [0, 1, 2],
+                        "mul": [[int(a > 0 and b > 0) for b in range(3)] for a in range(3)],
+                        "add": [[[a]] * 3 for a in range(3)]}
 
 
 @pytest.mark.parametrize("command, spec, flags", [
@@ -80,6 +86,7 @@ _TABLE_TOO_LARGE = {"kind": "table", "name": "products are 1", "carrier": [str(i
     ("check", {"kind": "builtin", "name": "fp_squares", "p": 10**10}, []),
     ("orderings", {"kind": "factor_fp", "p": 67, "generators": [1]}, []),
     ("orderings", _TABLE_TOO_LARGE, []),
+    ("baer-krull", _TABLE_NOT_HYPERRING, []),
 ])
 def test_malformed_input_exits_2_without_traceback(spec_file, command, spec, flags):
     path = spec_file(spec)
@@ -89,6 +96,31 @@ def test_malformed_input_exits_2_without_traceback(spec_file, command, spec, fla
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr and "spec error" in proc.stderr
+
+
+# runs hfw after allocating argv[1] small tuples, which moves the addresses,
+# and so the identity hashes, of the objects allocated after them
+_PADDED_MAIN = "import sys; pad = [(i,) for i in range(int(sys.argv[1]))]; " \
+               "from hfw.cli import main; sys.exit(main(sys.argv[2:]))"
+
+
+def test_symbolic_output_does_not_depend_on_hash_seed(spec_file):
+    """Interned values hash by identity, so the order in which a set of them
+    iterates can change between runs; no printed output may follow it.  The
+    two runs differ in PYTHONHASHSEED and in heap layout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    for name in ("sgntrop(2)", "q_p_units(3)"):
+        path = spec_file({"kind": "builtin", "name": name})
+        for command in ("check", "factor", "compat", "baer-krull"):
+            procs = [subprocess.Popen(
+                [sys.executable, "-c", _PADDED_MAIN, pad, command, path, "--window", "3", "--json"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONHASHSEED=seed,
+                         PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))))
+                for seed, pad in (("0", "0"), ("1", "1001"))]
+            (out0, err0), (out1, _) = (proc.communicate(timeout=120) for proc in procs)
+            assert [proc.returncode for proc in procs] == [0, 0], err0
+            assert out0 == out1, (name, command)
 
 
 def test_compat_tropical_all_cells_compatible(spec_file, capsys):

@@ -1,10 +1,16 @@
+import inspect
+import types
+
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
-from hfw.hypercore import find_isomorphism, check_homomorphism
+from hfw import sgntrop
+from hfw.hypercore import ViolationReport, find_isomorphism, check_homomorphism
 from hfw.sgntrop import (
     ALL,
     STElem,
+    STSet,
+    SignedValueHyperfield,
     SymOrdering,
     SymValuation,
     canonical_valuation,
@@ -16,6 +22,7 @@ from hfw.sgntrop import (
     st_mul,
     st_nonsingleton_sum_demo,
     st_nonstrict_subhyperring_demo,
+    st_singleton,
     sym_in_sequence,
     sym_is_ordering,
     sym_is_valuation,
@@ -202,3 +209,175 @@ def test_punits_reversibility_on_window(g1, s1, g2, s2):
     for x in S.members_within(H.window_gammas(5)):
         back = H.add(x, z.neg())
         assert back.contains(y)
+
+
+def test_equal_values_are_one_object():
+    assert STElem(1, (0,)) is st(1, 0)
+    assert STSet(frozenset(), None, None, True) is make_stset(has_zero=True)
+    assert make_stset([st(1, 4)], pos_ball=(3,)) is make_stset(pos_ball=(3,))
+    # equal results computed on separate structures, in either orientation
+    H1, H2 = signed_tropical(1), signed_tropical(1)
+    ball = H1.add(st(1, 1), st(-1, 1))
+    assert ball is H2.add(st(-1, 1), st(1, 1))
+    assert H1.set_add(ball, st_singleton(st(1, 0))) is H2.set_add(st_singleton(st(1, 0)), ball)
+    assert H1.set_mul(ball, st_singleton(st(-1, 2))) is H2.set_mul(st_singleton(st(-1, 2)), ball)
+    # a patched row built with the constructor is the shared object too
+    both = STSet(frozenset({st(1, 0), st(-1, 0)}), None, None, False)
+
+    def patch(H, a, b):
+        return STSet({a, b.neg()}, None, None, False) if {a, b} == {st(1, 0)} else None
+
+    P = SignedValueHyperfield("punits", p=3, row_patch=patch)
+    assert P.add(st(1, 0), st(1, 0)) is both is make_stset([st(-1, 0), st(1, 0)])
+    assert P.set_add(st_singleton(st(1, 0)), st_singleton(st(1, 0))) is both
+
+
+def _by_value(S):
+    """A set by value: its members as (sign, value) pairs, tails and zero flag."""
+    return frozenset((e.sign, e.gamma) for e in S.finite), S.pos_ball, S.neg_ball, S.has_zero
+
+
+def _reference_axiom_check(H, B):
+    """st_axiom_check's quantifiers with every set and element compared and
+    memoised by value, not by identity."""
+    rep = ViolationReport(H.name, max_per_axiom=10)
+    elems = H.window_elements(B, include_zero=True)
+    key = {e: (e.sign, e.gamma) for e in elems}
+    sing = {key[e]: st_singleton(e) for e in elems}
+    n = len(elems)
+    for i, x in enumerate(elems):
+        for y in elems[i:]:
+            if _by_value(H.add(x, y)) != _by_value(H.add(y, x)):
+                rep.record("H2", (str(x), str(y)), "sum not commutative")
+    rows, sums, samples, backs, lhss = {}, {}, {}, {}, {}
+
+    def row(a, b):
+        k = ((a.sign, a.gamma), (b.sign, b.gamma))
+        if k not in rows:
+            rows[k] = rows[k[::-1]] = H.add(a, b)
+        return rows[k]
+
+    def plus(S, e):
+        k = (_by_value(S), key[e])
+        if k not in sums:
+            sums[k] = H.set_add(S, sing[key[e]])
+        return _by_value(sums[k])
+
+    for i in range(n):
+        for j in range(i, n):
+            for l in range(j, n):
+                x, y, z = elems[i], elems[j], elems[l]
+                t1 = plus(row(x, y), z)
+                if t1 != plus(row(y, z), x) or t1 != plus(row(x, z), y):
+                    rep.record("H1", (str(x), str(y), str(z)), "set sum not associative")
+    neg = {key[e]: e.neg() for e in elems}
+    for x in elems:
+        negs = [y for y in elems if row(x, y).has_zero]
+        if key[neg[key[x]]] not in [key[y] for y in negs]:
+            rep.record("H3", (str(x),), "0 not in x + (-x)")
+        for y in negs:
+            if key[y] != key[neg[key[x]]]:
+                rep.record("H3-unique", (str(x), str(y)), "second negative in window")
+    for x in elems:
+        nx = neg[key[x]]
+        for y in elems:
+            S = row(x, y)
+            for z in samples.setdefault(_by_value(S), S.sample_members()):
+                k = ((z.sign, z.gamma), key[nx])
+                if k not in backs:
+                    backs[k] = H.set_add(st_singleton(z), sing[key[nx]])
+                if not backs[k].contains(y):
+                    rep.record("H4", (str(x), str(y), str(z)), "reversibility fails")
+    mulc = {(key[x], key[y]): st_mul(x, y) for x in elems for y in elems}
+    for x in elems[1:]:
+        for y in elems[1:]:
+            if mulc[key[x], key[y]].is_zero():
+                rep.record("F-closure", (str(x), str(y)), "zero divisor")
+    for i in range(n):
+        for j in range(i, n):
+            x, y = elems[i], elems[j]
+            rxy = row(x, y)
+            for z in elems:
+                k = (key[z], _by_value(rxy))
+                if k not in lhss:
+                    lhss[k] = H.set_mul(sing[key[z]], rxy)
+                rhs = row(mulc[key[z], key[x]], mulc[key[z], key[y]])
+                if _by_value(lhss[k]) != _by_value(rhs):
+                    rep.record("R3", (str(z), str(x), str(y)), "distributivity fails")
+    for x in elems[1:]:
+        u, v = st_mul(x, x.inv()), st_mul(H.one, x)
+        if (u.sign, u.gamma) != key[H.one]:
+            rep.record("F-inverse", (str(x),), "inverse fails")
+        if (v.sign, v.gamma) != key[x]:
+            rep.record("R2-unity", (str(x),), "unity fails")
+    return rep
+
+
+def _patched(kind, cells, p=None):
+    """A structure whose rows at the given (x, y) cells are replaced;
+    cells maps a pair to its new set, and an unordered pair patches both
+    orientations."""
+    def patch(H, a, b):
+        return cells.get((a, b), cells.get(frozenset((a, b))))
+
+    return SignedValueHyperfield(kind, p=p, row_patch=patch)
+
+
+_SINGLE_CELL_MUTANTS = {
+    "sgntrop(1)": lambda: signed_tropical(1),
+    "q_p_units(2)": lambda: q_punits_hyperfield(2),
+    # 1 + (-1) = {0}: the field-like cell breaks associativity and reversibility
+    "sgntrop(1)*1-1": lambda: _patched("tropical", {frozenset((st(1, 0), st(-1, 0))): make_stset(has_zero=True)}),
+    # 1 + 1 gains -1
+    "sgntrop(1)*11": lambda: _patched("tropical", {(st(1, 0), st(1, 0)): make_stset([st(1, 0), st(-1, 0)])}),
+    # (+,0) + (+,1) = {(+,1)}, only in that orientation: commutativity fails too
+    "sgntrop(1)*01": lambda: _patched("tropical", {(st(1, 0), st(1, 1)): st_singleton(st(1, 1))}),
+    # 1 + 1 keeps value 0 on the 2-adic structure
+    "q_p_units(2)*11": lambda: _patched("punits", {frozenset((st(1, 0),)): make_stset(pos_ball=(0,))}, p=2),
+    # (+,0) + (-,1) loses (-,0)
+    "q_p_units(2)*0-1": lambda: _patched("punits", {frozenset((st(1, 0), st(-1, 1))): st_singleton(st(1, 0))}, p=2),
+}
+
+
+def test_axiom_check_matches_check_by_value():
+    """Identity comparisons give the verdicts, counts and witnesses that
+    comparing by value gives, on the builtins and on single-cell mutants
+    failing H1, H4 and R3."""
+    failed = set()
+    for name, build in _SINGLE_CELL_MUTANTS.items():
+        for B in (1, 2):
+            got = st_axiom_check(build(), B=B).to_json()
+            assert got == _reference_axiom_check(build(), B).to_json(), (name, B)
+            failed |= set(got["counts"])
+    assert {"H1", "H2", "H4", "R3"} <= failed, failed
+
+
+def _code_objects(module):
+    """Every function body defined in module, nested ones included."""
+    funcs = []
+    for obj in vars(module).values():
+        if isinstance(obj, type) and obj.__module__ == module.__name__:
+            for attr in vars(obj).values():
+                funcs += [attr, getattr(attr, "__func__", None), getattr(attr, "fget", None)]
+        funcs.append(obj)
+    stack = [f.__code__ for f in funcs if inspect.isfunction(f) and f.__module__ == module.__name__]
+    codes = set()
+    while stack:
+        code = stack.pop()
+        if code not in codes:
+            codes.add(code)
+            stack += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    return codes
+
+
+def test_axiom_check_makes_no_calls_per_triple(count_calls):
+    """Once a structure's rows, sums and products are cached, a second check
+    reads them with dict lookups: fewer calls into sgntrop than there are
+    sorted triples in the window."""
+    H = signed_tropical(2)
+    first = st_axiom_check(H, B=2)
+    funcs = [types.SimpleNamespace(__code__=c, __name__=c.co_name) for c in _code_objects(sgntrop)]
+    calls, rep = count_calls(funcs, lambda: st_axiom_check(H, B=2))
+    n = len(H.window_elements(2, include_zero=True))
+    assert rep.to_json() == first.to_json() and rep.ok
+    assert sum(calls.values()) < n * (n + 1) * (n + 2) // 6, calls.most_common(5)
