@@ -68,12 +68,11 @@ from .sgntrop import (
     trivial_valuation,
 )
 from .valtheory import (
-    enumerate_valuation_hyperrings,
     inclusion_reversal_check,
     induced_valuation_on_factor,
-    residue_hyperfield,
     sym_valuation_from_ring,
     valuation_report,
+    valuation_ring_records,
 )
 
 EXIT_OK = 0
@@ -327,7 +326,7 @@ def cmd_orderings(loaded: Loaded, args) -> tuple[dict, bool]:
 def cmd_valuations(loaded: Loaded, args) -> tuple[dict, bool]:
     if loaded.finite is not None:
         F = loaded.finite
-        records = [residue_hyperfield(F, O) for O in enumerate_valuation_hyperrings(F)]
+        records = valuation_ring_records(F)
         entries = []
         for res in records:
             entry = valuation_report(F, res.valuation)
@@ -368,8 +367,7 @@ def cmd_valuations(loaded: Loaded, args) -> tuple[dict, bool]:
 def cmd_compat(loaded: Loaded, args) -> tuple[dict, bool]:
     if loaded.finite is not None:
         F = loaded.finite
-        reports = [rep for O in enumerate_valuation_hyperrings(F)
-                   for rep in compatibility_reports(F, residue_hyperfield(F, O)).values()]
+        reports = [rep for res in valuation_ring_records(F) for rep in compatibility_reports(F, res).values()]
     elif loaded.sym is not None:
         H = loaded.sym
         window = min(args.window, 4 if H.k > 1 else 6)

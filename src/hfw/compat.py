@@ -55,6 +55,7 @@ from .sgntrop import (
 from .valtheory import (
     LexGroup,
     ResidueField,
+    carrier_record,
     is_valuation,
     residue_hyperfield,
     residue_of_valuation,
@@ -774,11 +775,7 @@ def _trivial_table(F) -> BaerKrullTable:
     each residue cone pairs with the empty character; its lift is listed by
     the labels of its members.  A table whose carrier is not a valuation
     hyperring is not a hyperfield, and is refused (DomainError)."""
-    try:
-        carrier = residue_hyperfield(F, frozenset(F.elements()))
-    except DomainError as exc:
-        raise DomainError("%s is not a hyperfield: %s" % (F.name, exc)) from None
-    s = _frame(F, carrier)
+    s = _frame(F, carrier_record(F))
     res = s.residue.structure
     residue_cones = enumerate_orderings(res)
     chi = SymOrdering(())

@@ -19,6 +19,15 @@ object.  Equal values are therefore the same object, equality is identity and
 hashing is the object's own, so memo lookups and comparisons in the sweeps
 never walk a set.  A set's members then iterate in an order that follows
 object addresses, not values; everything printed sorts them first.
+
+The window sweeps (st_axiom_check, sym_is_ordering, sym_is_valuation)
+classify each window element once and give elements, distinct row sets and
+products small ids as they meet them.  Their pair and triple loops then read
+tables local to the call, indexed by those ids: rows, "set + element" and
+"z * set" rows, sums of product pairs, parity masks, value codes.  A table
+cell is filled from the structure's caches, or computed, only when the
+quantifier order first asks for it, so the caches gain the entries a sweep
+with a call per pair or triple would add, and the tables go with the call.
 """
 
 from __future__ import annotations
@@ -509,7 +518,8 @@ class SignedValueHyperfield:
         qs = self._parts(B)
         out = st_union([self._part_add(p, q) for p in self._parts(A) for q in qs])
         self._setadd_cache[key] = out
-        self._setadd_cache[(B, A)] = out
+        if self.row_patch is None:  # a patched row need not commute
+            self._setadd_cache[(B, A)] = out
         return out
 
     def set_mul(self, A: STSet, B: STSet) -> STSet:
@@ -525,7 +535,7 @@ class SignedValueHyperfield:
             parts.append(st_singleton(ST_ZERO))
         out = st_union(parts)
         self._setmul_cache[key] = out
-        self._setmul_cache[(B, A)] = out
+        self._setmul_cache[(B, A)] = out  # products never read a row, so they commute
         return out
 
     def _mul_halves(self, A: STSet) -> list[tuple]:
@@ -600,100 +610,132 @@ def st_axiom_check(H: SignedValueHyperfield, B: int = 4, max_witnesses: int = 10
     is still decided exactly on the tail-aware set representation.
 
     Sets are interned, so two results agree exactly when they are the same
-    object.  The loops read rows, sums and products from H's caches and from
-    local tables; only a value computed for the first time costs a call, so
-    on a structure that has been checked before no loop makes a call per
-    triple.
+    object.  The triple loops only index tables local to the call: the row
+    of each pair of window positions, one "set + element" row per distinct
+    row set (H1), one "z * set" row per distinct row set, and the sums of
+    product pairs keyed by small product ids (R3).  A cell is read from H's
+    caches, or computed, when the quantifier order first asks for it, so
+    H's caches gain exactly the entries a lookup per triple would add.
     """
     rep = ViolationReport(H.name, max_per_axiom=max_witnesses)
     elems = H.window_elements(B, include_zero=True)
-    nonzero = [e for e in elems if e.sign]
     n = len(elems)
-    sing = {e: st_singleton(e) for e in elems}
+    idx = range(n)
+    sing = [st_singleton(e) for e in elems]
     # a miss reads None; a set is never falsy, so `cached(key) or compute`
     cached_add = H._row_cache.get
     cached_set_add = H._setadd_cache.get
     cached_set_mul = H._setmul_cache.get
 
     # commutativity first, computing each orientation independently; rows
-    # then holds the orientation met first for both, as later loops use it
-    rows: dict = {}
+    # then holds the orientation met first for both, as later loops use it.
+    # plus[i][j][l] is rows[i][j] + {elems[l]}: one list per distinct row
+    # set, shared by every pair with that row
+    rows = [[None] * n for _ in idx]
+    plus = [[None] * n for _ in idx]
+    plus_of: dict = {}
     for i, x in enumerate(elems):
-        for y in elems[i:]:
+        rows_i, plus_i = rows[i], plus[i]
+        for j in range(i, n):
+            y = elems[j]
             rxy = cached_add((x, y)) or H.add(x, y)
             if rxy is not (cached_add((y, x)) or H.add(y, x)):
                 rep.record("H2", (str(x), str(y)), "sum not commutative")
-            rows[x, y] = rows[y, x] = rxy
+            p = plus_of.get(rxy)
+            if p is None:
+                p = plus_of[rxy] = [None] * n
+            rows_i[j] = rows[j][i] = rxy
+            plus_i[j] = plus[j][i] = p
 
     # with commutativity settled, associativity for a triple reduces to the
     # three bracketings (ab)c, (bc)a, (ac)b agreeing, so sorted triples suffice
-    for i in range(n):
-        x = elems[i]
-        sx = sing[x]
+    for i in idx:
+        rows_i, plus_i = rows[i], plus[i]
         for j in range(i, n):
-            y = elems[j]
-            sy = sing[y]
-            rxy = rows[x, y]
-            for z in elems[j:]:
-                sz = sing[z]
-                t1 = cached_set_add((rxy, sz)) or H.set_add(rxy, sz)
-                ryz = rows[y, z]
-                if t1 is (cached_set_add((ryz, sx)) or H.set_add(ryz, sx)):
-                    rxz = rows[x, z]
-                    if t1 is (cached_set_add((rxz, sy)) or H.set_add(rxz, sy)):
+            rxy, pxy = rows_i[j], plus_i[j]
+            rows_j, plus_j = rows[j], plus[j]
+            for l in range(j, n):
+                t1 = pxy[l]
+                if t1 is None:
+                    t1 = pxy[l] = cached_set_add((rxy, sing[l])) or H.set_add(rxy, sing[l])
+                p = plus_j[l]
+                t = p[i]
+                if t is None:
+                    S = rows_j[l]
+                    t = p[i] = cached_set_add((S, sing[i])) or H.set_add(S, sing[i])
+                if t1 is t:
+                    p = plus_i[l]
+                    t = p[j]
+                    if t is None:
+                        S = rows_i[l]
+                        t = p[j] = cached_set_add((S, sing[j])) or H.set_add(S, sing[j])
+                    if t1 is t:
                         continue
-                rep.record("H1", (str(x), str(y), str(z)), "set sum not associative")
+                rep.record("H1", (str(elems[i]), str(elems[j]), str(elems[l])), "set sum not associative")
 
-    canon = {(e.sign, e.gamma): e for e in elems}
-    nmap = {e: canon[(-e.sign, e.gamma)] if e.sign else e for e in elems}
+    # small ids: the window elements by position, then products as met
+    pid = {e: i for i, e in enumerate(elems)}
+    neg = [pid[e.neg()] for e in elems]
 
-    for x in elems:
-        negs = [y for y in elems if rows[x, y].has_zero]
-        expected = nmap[x]
-        if expected not in negs:
-            rep.record("H3", (str(x),), "0 not in x + (-x)")
-        for y in negs:
-            if y is not expected:
-                rep.record("H3-unique", (str(x), str(y)), "second negative in window")
+    for i in idx:
+        row = rows[i]
+        negs = [j for j in idx if row[j].has_zero]
+        if neg[i] not in negs:
+            rep.record("H3", (str(elems[i]),), "0 not in x + (-x)")
+        for j in negs:
+            if j != neg[i]:
+                rep.record("H3-unique", (str(elems[i]), str(elems[j])), "second negative in window")
 
     samples_of: dict = {}
-    for x in elems:
-        snx = sing[nmap[x]]
-        for y in elems:
-            S = rows[x, y]
+    for i, x in enumerate(elems):
+        snx = sing[neg[i]]
+        for y, S in zip(elems, rows[i]):
             samples = samples_of.get(S)
             if samples is None:
-                samples = samples_of[S] = S.sample_members()
-            for z in samples:
-                sz = sing.get(z)
-                if sz is None:
-                    sz = sing[z] = st_singleton(z)
+                samples = samples_of[S] = [(z, st_singleton(z)) for z in S.sample_members()]
+            for z, sz in samples:
                 back = cached_set_add((sz, snx)) or H.set_add(sz, snx)
                 if not back.contains(y):
                     rep.record("H4", (str(x), str(y), str(z)), "reversibility fails")
 
-    mulc = {(x, y): st_mul(x, y) for x in elems for y in elems}
-    for x in nonzero:
-        for y in nonzero:
-            if not mulc[x, y].sign:
-                rep.record("F-closure", (str(x), str(y)), "zero divisor")
+    # prods[x][z] is the id of elems[z] * elems[x]; zero keeps id 0
+    prods = [[0] * n for _ in idx]
+    for z, ez in enumerate(elems):
+        for x, ex in enumerate(elems):
+            p = st_mul(ez, ex)
+            q = pid.get(p)
+            if q is None:
+                q = pid[p] = len(pid)
+            prods[x][z] = q
+    for x in idx[1:]:
+        for y in idx[1:]:
+            if not prods[y][x]:
+                rep.record("F-closure", (str(elems[x]), str(elems[y])), "zero divisor")
 
-    for i in range(n):
-        x = elems[i]
-        for y in elems[i:]:
-            rxy = rows[x, y]
-            for z in elems:
-                sz = sing[z]
-                lhs = cached_set_mul((sz, rxy)) or H.set_mul(sz, rxy)
-                zx = mulc[z, x]
-                zy = mulc[z, y]
-                rhs = rows.get((zx, zy))
+    # z(x + y) against zx + zy.  times[S][z] is {elems[z]} * S, filled for
+    # every z when S is first met, since each pair asks for all z; sums[a*N + b]
+    # is the row of the products with ids a and b: the window rows first,
+    # then each product pair as met, stored for both orientations
+    prod_of = list(pid)
+    N = len(prod_of)
+    sums = {i * N + j: r for i in idx for j, r in enumerate(rows[i])}
+    times: dict = {}
+    for i in idx:
+        rows_i, px = rows[i], prods[i]
+        for j in range(i, n):
+            rxy = rows_i[j]
+            zr = times.get(rxy)
+            if zr is None:
+                zr = times[rxy] = [cached_set_mul((sz, rxy)) or H.set_mul(sz, rxy) for sz in sing]
+            for z, lhs, a, b in zip(idx, zr, px, prods[j]):
+                rhs = sums.get(a * N + b)
                 if rhs is None:
-                    rhs = rows[zx, zy] = rows[zy, zx] = cached_add((zx, zy)) or H.add(zx, zy)
+                    zx, zy = prod_of[a], prod_of[b]
+                    rhs = sums[a * N + b] = sums[b * N + a] = cached_add((zx, zy)) or H.add(zx, zy)
                 if lhs is not rhs:
-                    rep.record("R3", (str(z), str(x), str(y)), "distributivity fails")
+                    rep.record("R3", (str(elems[z]), str(elems[i]), str(elems[j])), "distributivity fails")
 
-    for x in nonzero:
+    for x in elems[1:]:
         if st_mul(x, x.inv()) is not H.one:
             rep.record("F-inverse", (str(x),), "inverse fails")
         if st_mul(H.one, x) is not x:
@@ -783,28 +825,39 @@ def sym_ordering_case_analysis(H: SignedValueHyperfield, P: SymOrdering) -> tupl
 
 
 def sym_is_ordering(H: SignedValueHyperfield, P: SymOrdering, B: int = 6) -> bool:
-    """Window closure check and row-shape analysis; the two must agree."""
+    """Window closure check and row-shape analysis; the two must agree.
+
+    Membership is decided once per window element, and the pair loop walks
+    the positive elements only.  Whether a row lies in P is decided once per
+    distinct row set.  A product's membership compares its sign with chi at
+    its parity class, the XOR of the factors' parity masks (bit r is the
+    parity of coordinate r), from a table of chi over the 2^k classes.
+    """
     if P.k != H.k:
         raise DomainError("character rank disagrees with structure")
-    window = H.window_elements(B)
-    ok = True
+    chi_of = [P.chi(tuple(m >> r & 1 for r in range(H.k))) for m in range(1 << H.k)]
+    positive = []
+    for x in H.window_elements(B):
+        if P.contains(x):
+            m = 0
+            for r, g in enumerate(x.gamma):
+                m |= (g & 1) << r
+            positive.append((x, x.sign, m))
+    cached_add = H._row_cache.get
+    closed: dict = {}  # row set -> P.contains_set(row set)
     witness = None
-    for x in window:
-        if not P.contains(x):
-            continue
-        for y in window:
-            if not P.contains(y):
-                continue
-            if not P.contains_set(H.add(x, y)):
-                ok = False
+    for x, sx, mx in positive:
+        for y, sy, my in positive:
+            S = cached_add((x, y)) or H.add(x, y)
+            inside = closed.get(S)
+            if inside is None:
+                inside = closed[S] = P.contains_set(S)
+            if not inside or sx * sy != chi_of[mx ^ my]:
                 witness = (x, y)
                 break
-            if not P.contains(st_mul(x, y)):
-                ok = False
-                witness = (x, y)
-                break
-        if not ok:
+        if witness:
             break
+    ok = witness is None
     by_cases, case_witness = sym_ordering_case_analysis(H, P)
     if by_cases != ok:
         raise InternalCheckError(
@@ -935,23 +988,61 @@ def trivial_valuation() -> SymValuation:
 
 
 def sym_is_valuation(H: SignedValueHyperfield, v: SymValuation, B: int = 4, max_witnesses: int = 10):
-    """Multiplicativity and the ultrametric bound, witnessed over a window."""
+    """Multiplicativity and the ultrametric bound, witnessed over a window.
+
+    Each window element's value is computed once and held as an integer
+    code: the value's coordinates as balanced digits in radix R, which is
+    injective and order-preserving while every coordinate stays below R/2
+    in size, and additive.  A product of window elements has its value in
+    the doubled box [-2B, 2B]^k, so V2 reads the product's value code from
+    a table over that box, at the sum of the factors' box offsets.  The V3
+    bounds are decided once per (row set, min value).
+    """
     rep = ViolationReport("%s with %s" % (H.name, v.label()), max_per_axiom=max_witnesses)
     window = H.window_elements(B)
+    # product values reach 2B + |shift| per coordinate, sums of two values 2B + 2|shift|
+    R = 4 * (B + abs(v.neg_shift)) + 1
+    W = 4 * B + 1  # radix of offsets in the doubled box
+    box2 = []  # value codes over the doubled box: (+, g) then (-, g), g in lex order
+    for g in product(range(-2 * B, 2 * B + 1), repeat=H.k):
+        for s in (1, -1):
+            c = 0
+            for t in v.value(STElem(s, g)):
+                c = c * R + t
+            box2.append(c)
+    offset, negative, code = [], [], []
+    value_of = {}  # value code -> value
     for x in window:
-        for y in window:
-            if v.value(st_mul(x, y)) != gadd(v.value(x), v.value(y)):
+        val = v.value(x)
+        c = 0
+        for t in val:
+            c = c * R + t
+        o = 0
+        for g in x.gamma:
+            o = o * W + g + B
+        value_of[c] = val
+        code.append(c)
+        offset.append(2 * o)
+        negative.append(x.sign < 0)
+    for x, ox, nx, cx in zip(window, offset, negative, code):
+        for y, oy, ny, cy in zip(window, offset, negative, code):
+            if box2[ox + oy + (nx ^ ny)] != cx + cy:
                 rep.record("V2", (str(x), str(y)), "value not additive on a product")
     zk = v.value(H.one)
     if zk != (0,) * v.prefix:
         rep.record("V2", ("1",), "value of 1 not zero")
-    for x in window:
-        for y in window:
-            m = min(v.value(x), v.value(y))
-            S = H.add(x, y)
-            if not _set_values_at_least(S, v, m):
+    cached_add = H._row_cache.get
+    bounds: dict = {}  # (row set, min value code) -> (values at least min, values exactly min)
+    for x, cx in zip(window, code):
+        for y, cy in zip(window, code):
+            S = cached_add((x, y)) or H.add(x, y)
+            m = cx if cx < cy else cy
+            b = bounds.get((S, m))
+            if b is None:
+                b = bounds[S, m] = (_set_values_at_least(S, v, value_of[m]), _set_values_exactly(S, v, value_of[m]))
+            if not b[0]:
                 rep.record("V3", (str(x), str(y)), "sum member below min value")
-            if v.value(x) != v.value(y) and not _set_values_exactly(S, v, m):
+            if cx != cy and not b[1]:
                 rep.record("V3-sharp", (str(x), str(y)), "distinct values but sum not pinned at min")
     for x in window:
         if v.value(x.neg()) != v.value(x):

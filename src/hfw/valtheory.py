@@ -380,6 +380,24 @@ def residue_hyperfield(F: FiniteHyperstructure, O) -> ResidueField:
     return res
 
 
+def carrier_record(F: FiniteHyperstructure) -> ResidueField:
+    """The record of the carrier of F as a valuation hyperring.  The carrier
+    of a hyperfield always is one, so when its ring pass fails F is refused
+    (DomainError "F is not a hyperfield: ...")."""
+    try:
+        return residue_hyperfield(F, frozenset(F.elements()))
+    except DomainError as exc:
+        raise DomainError("%s is not a hyperfield: %s" % (F.name, exc)) from None
+
+
+def valuation_ring_records(F: FiniteHyperstructure) -> list[ResidueField]:
+    """The record of every valuation hyperring of a hyperfield F.  The
+    carrier's record comes first, so any other F is refused before the
+    enumeration, and it is reused for the carrier."""
+    carrier = carrier_record(F)
+    return [carrier if O == carrier.ring else residue_hyperfield(F, O) for O in enumerate_valuation_hyperrings(F)]
+
+
 def valuation_from_hyperring(F: FiniteHyperstructure, O) -> Valuation:
     """The projection onto unit cosets, ordered by divisibility; see
     ResidueField.valuation for its checks."""

@@ -71,6 +71,13 @@ _TABLE_NOT_HYPERRING = {"kind": "table", "name": "left sums", "carrier": ["0", "
                         "add": [[[a]] * 3 for a in range(3)]}
 
 
+def _table_z(n: int) -> dict:
+    """Z/n as a table: single-valued sums, not a hyperfield for composite n."""
+    return {"kind": "table", "name": "Z/%d" % n, "carrier": [str(a) for a in range(n)], "zero": 0, "one": 1,
+            "neg": [-a % n for a in range(n)], "mul": [[a * b % n for b in range(n)] for a in range(n)],
+            "add": [[[(a + b) % n] for b in range(n)] for a in range(n)]}
+
+
 @pytest.mark.parametrize("command, spec, flags", [
     ("check", {"kind": "builtin", "name": "sgntrop", "k": "x"}, []),
     ("check", {"kind": "builtin", "name": "fp_squares", "p": "x"}, []),
@@ -87,6 +94,10 @@ _TABLE_NOT_HYPERRING = {"kind": "table", "name": "left sums", "carrier": ["0", "
     ("orderings", {"kind": "factor_fp", "p": 67, "generators": [1]}, []),
     ("orderings", _TABLE_TOO_LARGE, []),
     ("baer-krull", _TABLE_NOT_HYPERRING, []),
+    ("valuations", _table_z(4), []),
+    ("compat", _table_z(4), []),
+    ("valuations", _table_z(6), []),
+    ("compat", _table_z(6), []),
 ])
 def test_malformed_input_exits_2_without_traceback(spec_file, command, spec, flags):
     path = spec_file(spec)
@@ -96,6 +107,8 @@ def test_malformed_input_exits_2_without_traceback(spec_file, command, spec, fla
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr and "spec error" in proc.stderr
+    if spec.get("name", "").startswith("Z/"):
+        assert "%s is not a hyperfield" % spec["name"] in proc.stderr, proc.stderr
 
 
 # runs hfw after allocating argv[1] small tuples, which moves the addresses,

@@ -1,4 +1,5 @@
 import inspect
+from itertools import product
 import types
 
 from hypothesis import given, settings
@@ -332,6 +333,9 @@ _SINGLE_CELL_MUTANTS = {
     "sgntrop(1)*11": lambda: _patched("tropical", {(st(1, 0), st(1, 0)): make_stset([st(1, 0), st(-1, 0)])}),
     # (+,0) + (+,1) = {(+,1)}, only in that orientation: commutativity fails too
     "sgntrop(1)*01": lambda: _patched("tropical", {(st(1, 0), st(1, 1)): st_singleton(st(1, 1))}),
+    # (+,2) + (-,2) = {(+,2)}, only in that orientation: at B = 1 the cell lies
+    # outside the window, and R3 meets it as a sum of two products
+    "sgntrop(1)*2-2": lambda: _patched("tropical", {(st(1, 2), st(-1, 2)): st_singleton(st(1, 2))}),
     # 1 + 1 keeps value 0 on the 2-adic structure
     "q_p_units(2)*11": lambda: _patched("punits", {frozenset((st(1, 0),)): make_stset(pos_ball=(0,))}, p=2),
     # (+,0) + (-,1) loses (-,0)
@@ -381,3 +385,138 @@ def test_axiom_check_makes_no_calls_per_triple(count_calls):
     n = len(H.window_elements(2, include_zero=True))
     assert rep.to_json() == first.to_json() and rep.ok
     assert sum(calls.values()) < n * (n + 1) * (n + 2) // 6, calls.most_common(5)
+
+
+def _reference_is_ordering(H, P, B):
+    """sym_is_ordering's sweep with a Python call per pair: membership,
+    rows and products recomputed for each pair of window elements."""
+    window = H.window_elements(B)
+    ok, witness = True, None
+    for x in window:
+        if not P.contains(x):
+            continue
+        for y in window:
+            if not P.contains(y):
+                continue
+            if not P.contains_set(H.add(x, y)) or not P.contains(st_mul(x, y)):
+                ok, witness = False, (x, y)
+                break
+        if not ok:
+            break
+    by_cases, case_witness = sgntrop.sym_ordering_case_analysis(H, P)
+    if by_cases != ok:
+        raise sgntrop.InternalCheckError(
+            "ordering verdicts disagree for %s on %s: window=%s cases=%s (witness %s/%s)"
+            % (P.label(), H.name, ok, by_cases, witness, case_witness))
+    return ok
+
+
+def _reference_is_valuation(H, v, B):
+    """sym_is_valuation's sweep with values, products and bounds recomputed
+    for each pair of window elements."""
+    rep = ViolationReport("%s with %s" % (H.name, v.label()), max_per_axiom=10)
+    window = H.window_elements(B)
+    for x in window:
+        for y in window:
+            if v.value(st_mul(x, y)) != sgntrop.gadd(v.value(x), v.value(y)):
+                rep.record("V2", (str(x), str(y)), "value not additive on a product")
+    if v.value(H.one) != (0,) * v.prefix:
+        rep.record("V2", ("1",), "value of 1 not zero")
+    for x in window:
+        for y in window:
+            m = min(v.value(x), v.value(y))
+            S = H.add(x, y)
+            if not sgntrop._set_values_at_least(S, v, m):
+                rep.record("V3", (str(x), str(y)), "sum member below min value")
+            if v.value(x) != v.value(y) and not sgntrop._set_values_exactly(S, v, m):
+                rep.record("V3-sharp", (str(x), str(y)), "distinct values but sum not pinned at min")
+    for x in window:
+        if v.value(x.neg()) != v.value(x):
+            rep.record("V-neg", (str(x),), "value changed by negation")
+        if v.value(x.inv()) != sgntrop.gneg(v.value(x)):
+            rep.record("V-inv", (str(x),), "value of inverse not negated")
+    return rep
+
+
+def _verdict(f, *args):
+    """f's result, or the cross-check it failed with its message (on some
+    mutants the case analysis fails its own assertion)."""
+    try:
+        return f(*args)
+    except (sgntrop.InternalCheckError, AssertionError) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+# the builtins at the windows the benchmark catalogue uses for orderings and
+# valuations, then the single-cell mutants at rank-1 windows
+_SWEEP_WINDOWS = [
+    (lambda: signed_tropical(1), (2, 3, 4, 5, 6), (4,)),
+    (lambda: signed_tropical(2), (2, 3), (2, 3)),
+    (lambda: signed_tropical(3), (1, 2), (1,)),
+] + [(lambda p=p: q_punits_hyperfield(p), (2, 4, 6), (4,)) for p in (2, 3, 5, 7)] + [
+    (build, (1, 2, 4), (1, 4)) for name, build in _SINGLE_CELL_MUTANTS.items() if "*" in name]
+
+
+def test_window_sweeps_match_reference_loops():
+    """The table-driven ordering and valuation sweeps give the verdicts,
+    cross-check failures, counts and witnesses of the per-pair loops."""
+    failed, raised = set(), 0
+    for build, ordering_windows, valuation_windows in _SWEEP_WINDOWS:
+        H = build()
+        for B in ordering_windows:
+            for images in product((1, -1), repeat=H.k):
+                P = SymOrdering(images)
+                got = _verdict(sym_is_ordering, H, P, B)
+                assert got == _verdict(_reference_is_ordering, H, P, B), (H.name, P.label(), B)
+                raised += isinstance(got, str)
+        vals = [sgntrop.trivial_valuation(), canonical_valuation(H),
+                SymValuation(prefix=H.k, neg_shift=1), SymValuation(prefix=1, neg_shift=-2)]
+        for B in valuation_windows:
+            for v in vals:
+                got = sym_is_valuation(H, v, B).to_json()
+                assert got == _reference_is_valuation(H, v, B).to_json(), (H.name, v, B)
+                failed |= set(got["counts"])
+    # the mutants reach the cross-check, and the shifted valuations fail V2 and V3
+    assert raised and {"V2", "V3", "V3-sharp"} <= failed, (raised, failed)
+
+
+def _window_pairs_and_calls(count_calls, sweep):
+    """Calls into sgntrop of a second, warm run of sweep(H, B) on sgntrop(2)
+    at B = 3, with the number of ordered window pairs."""
+    H = signed_tropical(2)
+    first = sweep(H, 3)
+    funcs = [types.SimpleNamespace(__code__=c, __name__=c.co_name) for c in _code_objects(sgntrop)]
+    calls, again = count_calls(funcs, lambda: sweep(H, 3))
+    assert again == first
+    return len(H.window_elements(3)) ** 2, calls
+
+
+def test_ordering_sweep_makes_no_calls_per_pair(count_calls):
+    for images in ((1, 1), (-1, 1)):
+        pairs, calls = _window_pairs_and_calls(
+            count_calls, lambda H, B: sym_is_ordering(H, SymOrdering(images), B))
+        assert sum(calls.values()) < pairs // 4, calls.most_common(5)
+
+
+def test_valuation_sweep_makes_no_calls_per_pair(count_calls):
+    for v in (sgntrop.trivial_valuation(), SymValuation(prefix=2)):
+        pairs, calls = _window_pairs_and_calls(
+            count_calls, lambda H, B: sym_is_valuation(H, v, B).to_json())
+        assert sum(calls.values()) < pairs // 2, calls.most_common(5)
+
+
+def test_patched_set_sums_do_not_depend_on_call_order():
+    """A patched row need not commute, so a set sum is cached for the
+    orientation it was asked in only: with (+,0) + (+,1) patched to {(+,1)},
+    either call order gives the same sets and the same H1 witnesses."""
+    one, two = st_singleton(st(1, 0)), st_singleton(st(1, 1))
+    build = _SINGLE_CELL_MUTANTS["sgntrop(1)*01"]
+    results = []
+    for order in ((one, two), (two, one)):
+        H = build()
+        sums = {(A, B): H.set_add(A, B) for A, B in (order, order[::-1])}
+        rep = st_axiom_check(H, B=2).to_json()
+        results.append((sums, [w for w in rep["violations"] if w["axiom"] == "H1"], rep))
+    (sums1, h1_1, rep1), (sums2, h1_2, rep2) = results
+    assert sums1 == sums2 and sums1[one, two] is two and sums1[two, one] is one
+    assert h1_1 == h1_2 and h1_1 and rep1 == rep2
